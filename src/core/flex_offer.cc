@@ -132,24 +132,42 @@ Status Validate(const FlexOffer& offer) {
 }
 
 std::string Describe(const FlexOffer& offer) {
-  std::string out = StrFormat(
-      "FlexOffer %lld [%s, %s] %s %s: profile %d slices, E=[%s, %s] kWh, "
-      "time flex %lld min, start in [%s, %s]",
-      static_cast<long long>(offer.id), std::string(DirectionName(offer.direction)).c_str(),
-      std::string(FlexOfferStateName(offer.state)).c_str(),
-      std::string(ProsumerTypeName(offer.prosumer_type)).c_str(),
-      std::string(ApplianceTypeName(offer.appliance_type)).c_str(),
-      offer.profile_duration_slices(), FormatDouble(offer.total_min_energy_kwh(), 2).c_str(),
-      FormatDouble(offer.total_max_energy_kwh(), 2).c_str(),
-      static_cast<long long>(offer.time_flexibility_minutes()),
-      offer.earliest_start.ToString().c_str(), offer.latest_start.ToString().c_str());
+  // In printf terms: "FlexOffer %lld [%s, %s] %s %s: profile %d slices,
+  // E=[%s, %s] kWh, time flex %lld min, start in [%s, %s]", then the
+  // schedule and aggregate suffixes.
+  std::string out = "FlexOffer ";
+  StrAppendInt(&out, offer.id);
+  out += " [";
+  out += DirectionName(offer.direction);
+  out += ", ";
+  out += FlexOfferStateName(offer.state);
+  out += "] ";
+  out += ProsumerTypeName(offer.prosumer_type);
+  out += ' ';
+  out += ApplianceTypeName(offer.appliance_type);
+  out += ": profile ";
+  StrAppendInt(&out, offer.profile_duration_slices());
+  out += " slices, E=[";
+  StrAppendDouble(&out, offer.total_min_energy_kwh(), 2);
+  out += ", ";
+  StrAppendDouble(&out, offer.total_max_energy_kwh(), 2);
+  out += "] kWh, time flex ";
+  StrAppendInt(&out, offer.time_flexibility_minutes());
+  out += " min, start in [";
+  offer.earliest_start.AppendTo(&out);
+  out += ", ";
+  offer.latest_start.AppendTo(&out);
+  out += ']';
   if (offer.schedule.has_value()) {
-    out += StrFormat("; scheduled %s kWh from %s",
-                     FormatDouble(offer.total_scheduled_energy_kwh(), 2).c_str(),
-                     offer.schedule->start.ToString().c_str());
+    out += "; scheduled ";
+    StrAppendDouble(&out, offer.total_scheduled_energy_kwh(), 2);
+    out += " kWh from ";
+    offer.schedule->start.AppendTo(&out);
   }
   if (offer.is_aggregate()) {
-    out += StrFormat("; aggregate of %zu offers", offer.aggregated_from.size());
+    out += "; aggregate of ";
+    StrAppendInt(&out, static_cast<int64_t>(offer.aggregated_from.size()));
+    out += " offers";
   }
   return out;
 }

@@ -13,6 +13,33 @@ using timeutil::TimePoint;
 
 namespace {
 
+// Column positions of fact_flexoffer, in FactFlexOfferSchema() order. Loads
+// and reconstruction address cells through these, never by name.
+enum FactColumn : size_t {
+  kOfferId,
+  kProsumerId,
+  kRegionId,
+  kGridNodeId,
+  kEnergyType,
+  kProsumerType,
+  kApplianceType,
+  kDirection,
+  kState,
+  kCreationMin,
+  kAcceptanceMin,
+  kAssignmentMin,
+  kEarliestStartMin,
+  kLatestStartMin,
+  kLatestEndMin,
+  kProfileSlices,
+  kTotalMinKwh,
+  kTotalMaxKwh,
+  kTimeFlexMin,
+  kScheduledStartMin,  // nullable
+  kScheduledKwh,
+  kIsAggregate,
+};
+
 std::vector<ColumnSpec> FactFlexOfferSchema() {
   return {
       {"offer_id", ColumnType::kInt64},
@@ -39,6 +66,9 @@ std::vector<ColumnSpec> FactFlexOfferSchema() {
       {"is_aggregate", ColumnType::kInt64},
   };
 }
+
+// Column positions of fact_profile_slice (one row per unit slice).
+enum SliceColumn : size_t { kSliceOfferId, kUnitIndex, kMinKwh, kMaxKwh, kSliceScheduledKwh };
 
 /// Appends a sorted integer list (or "*" when unconstrained) to `out`.
 template <typename T>
@@ -195,72 +225,83 @@ std::vector<core::GridNodeId> Database::GridSubtree(core::GridNodeId root) const
   return out;
 }
 
-Status Database::AppendFactRow(const FlexOffer& offer) {
-  Value scheduled_start = Value::Null();
-  double scheduled_kwh = 0.0;
+void Database::AppendFactRow(const FlexOffer& offer) {
+  auto set_int = [&](FactColumn c, int64_t v) { fact_flexoffer_.column(c).AppendInt64(v); };
+  auto set_double = [&](FactColumn c, double v) { fact_flexoffer_.column(c).AppendDouble(v); };
+  set_int(kOfferId, offer.id);
+  set_int(kProsumerId, offer.prosumer);
+  set_int(kRegionId, offer.region);
+  set_int(kGridNodeId, offer.grid_node);
+  set_int(kEnergyType, static_cast<int64_t>(offer.energy_type));
+  set_int(kProsumerType, static_cast<int64_t>(offer.prosumer_type));
+  set_int(kApplianceType, static_cast<int64_t>(offer.appliance_type));
+  set_int(kDirection, static_cast<int64_t>(offer.direction));
+  set_int(kState, static_cast<int64_t>(offer.state));
+  set_int(kCreationMin, offer.creation_time.minutes());
+  set_int(kAcceptanceMin, offer.acceptance_deadline.minutes());
+  set_int(kAssignmentMin, offer.assignment_deadline.minutes());
+  set_int(kEarliestStartMin, offer.earliest_start.minutes());
+  set_int(kLatestStartMin, offer.latest_start.minutes());
+  set_int(kLatestEndMin, offer.latest_end().minutes());
+  set_int(kProfileSlices, offer.profile_duration_slices());
+  set_double(kTotalMinKwh, offer.total_min_energy_kwh());
+  set_double(kTotalMaxKwh, offer.total_max_energy_kwh());
+  set_int(kTimeFlexMin, offer.time_flexibility_minutes());
   if (offer.schedule.has_value()) {
-    scheduled_start = Value(offer.schedule->start.minutes());
-    scheduled_kwh = offer.total_scheduled_energy_kwh();
+    set_int(kScheduledStartMin, offer.schedule->start.minutes());
+    set_double(kScheduledKwh, offer.total_scheduled_energy_kwh());
+  } else {
+    fact_flexoffer_.column(kScheduledStartMin).AppendNull();
+    set_double(kScheduledKwh, 0.0);
   }
-  return fact_flexoffer_.AppendRow({
-      Value(offer.id),
-      Value(offer.prosumer),
-      Value(offer.region),
-      Value(offer.grid_node),
-      Value(static_cast<int64_t>(offer.energy_type)),
-      Value(static_cast<int64_t>(offer.prosumer_type)),
-      Value(static_cast<int64_t>(offer.appliance_type)),
-      Value(static_cast<int64_t>(offer.direction)),
-      Value(static_cast<int64_t>(offer.state)),
-      Value(offer.creation_time.minutes()),
-      Value(offer.acceptance_deadline.minutes()),
-      Value(offer.assignment_deadline.minutes()),
-      Value(offer.earliest_start.minutes()),
-      Value(offer.latest_start.minutes()),
-      Value(offer.latest_end().minutes()),
-      Value(static_cast<int64_t>(offer.profile_duration_slices())),
-      Value(offer.total_min_energy_kwh()),
-      Value(offer.total_max_energy_kwh()),
-      Value(offer.time_flexibility_minutes()),
-      scheduled_start,
-      Value(scheduled_kwh),
-      Value(static_cast<int64_t>(offer.is_aggregate() ? 1 : 0)),
-  });
+  set_int(kIsAggregate, offer.is_aggregate() ? 1 : 0);
+
+  const std::vector<core::ProfileSlice> units = offer.UnitProfile();
+  for (size_t i = 0; i < units.size(); ++i) {
+    fact_profile_slice_.column(kSliceOfferId).AppendInt64(offer.id);
+    fact_profile_slice_.column(kUnitIndex).AppendInt64(static_cast<int64_t>(i));
+    fact_profile_slice_.column(kMinKwh).AppendDouble(units[i].min_energy_kwh);
+    fact_profile_slice_.column(kMaxKwh).AppendDouble(units[i].max_energy_kwh);
+    Column& scheduled = fact_profile_slice_.column(kSliceScheduledKwh);
+    if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
+      scheduled.AppendDouble(offer.schedule->energy_kwh[i]);
+    } else {
+      scheduled.AppendNull();
+    }
+  }
+  slice_begin_.push_back(slice_begin_.back() + units.size());
 }
 
 Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
-  for (const FlexOffer& offer : offers) {
-    FLEXVIS_RETURN_IF_ERROR(core::Validate(offer));
-    if (offer_row_.count(offer.id) != 0) {
-      return AlreadyExistsError(StrFormat("flex-offer %lld already loaded",
-                                          static_cast<long long>(offer.id)));
+  // Every offer is validated and its id claimed before the first append. An
+  // invalid offer or an id already loaded (earlier or within this batch)
+  // releases the batch's claims, so a rejected batch leaves no trace.
+  const size_t first_row = slice_begin_.size() - 1;
+  offer_row_.reserve(offer_row_.size() + offers.size());
+  for (size_t i = 0; i < offers.size(); ++i) {
+    Status status = core::Validate(offers[i]);
+    if (status.ok() && !offer_row_.emplace(offers[i].id, first_row + i).second) {
+      status = AlreadyExistsError(StrFormat("flex-offer %lld already loaded",
+                                            static_cast<long long>(offers[i].id)));
+    }
+    if (!status.ok()) {
+      for (size_t j = 0; j < i; ++j) offer_row_.erase(offers[j].id);
+      return status;
     }
   }
   for (const FlexOffer& offer : offers) {
-    FLEXVIS_RETURN_IF_ERROR(AppendFactRow(offer));
-    offer_row_[offer.id] = fact_flexoffer_.NumRows() - 1;
-
-    const std::vector<core::ProfileSlice> units = offer.UnitProfile();
-    std::vector<size_t>& rows = slice_rows_[offer.id];
-    rows.reserve(units.size());
-    for (size_t i = 0; i < units.size(); ++i) {
-      Value scheduled = Value::Null();
-      if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
-        scheduled = Value(offer.schedule->energy_kwh[i]);
-      }
-      FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRow(
-          {Value(offer.id), Value(static_cast<int64_t>(i)), Value(units[i].min_energy_kwh),
-           Value(units[i].max_energy_kwh), scheduled}));
-      rows.push_back(fact_profile_slice_.NumRows() - 1);
-    }
+    AppendFactRow(offer);
     if (offer.is_aggregate()) {
       for (FlexOfferId member : offer.aggregated_from) {
-        FLEXVIS_RETURN_IF_ERROR(bridge_aggregation_.AppendRow({Value(offer.id), Value(member)}));
+        bridge_aggregation_.column(0).AppendInt64(offer.id);  // aggregate_id, member_id
+        bridge_aggregation_.column(1).AppendInt64(member);
       }
       aggregate_members_[offer.id] = offer.aggregated_from;
     }
   }
-  return OkStatus();
+  FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.CommitAppendedRows());
+  FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.CommitAppendedRows());
+  return bridge_aggregation_.CommitAppendedRows();
 }
 
 Status Database::UpdateFlexOffer(const FlexOffer& offer) {
@@ -273,87 +314,72 @@ Status Database::UpdateFlexOffer(const FlexOffer& offer) {
   const size_t row = it->second;
   // Only the mutable planning outputs are updated; identity and profile are
   // immutable once loaded.
-  Result<size_t> state_col = fact_flexoffer_.ColumnIndex("state");
-  Result<size_t> sched_start_col = fact_flexoffer_.ColumnIndex("scheduled_start_min");
-  Result<size_t> sched_kwh_col = fact_flexoffer_.ColumnIndex("scheduled_kwh");
+  Table& f = fact_flexoffer_;
   FLEXVIS_RETURN_IF_ERROR(
-      fact_flexoffer_.column(*state_col).Set(row, Value(static_cast<int64_t>(offer.state))));
+      f.column(kState).Set(row, Value(static_cast<int64_t>(offer.state))));
   if (offer.schedule.has_value()) {
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_start_col)
-                                .Set(row, Value(offer.schedule->start.minutes())));
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_kwh_col)
-                                .Set(row, Value(offer.total_scheduled_energy_kwh())));
+    FLEXVIS_RETURN_IF_ERROR(
+        f.column(kScheduledStartMin).Set(row, Value(offer.schedule->start.minutes())));
+    FLEXVIS_RETURN_IF_ERROR(
+        f.column(kScheduledKwh).Set(row, Value(offer.total_scheduled_energy_kwh())));
   } else {
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_start_col).Set(row, Value::Null()));
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_kwh_col).Set(row, Value(0.0)));
+    FLEXVIS_RETURN_IF_ERROR(f.column(kScheduledStartMin).Set(row, Value::Null()));
+    FLEXVIS_RETURN_IF_ERROR(f.column(kScheduledKwh).Set(row, Value(0.0)));
   }
   // Per-slice scheduled energies.
-  auto slice_it = slice_rows_.find(offer.id);
-  if (slice_it != slice_rows_.end()) {
-    Result<size_t> col = fact_profile_slice_.ColumnIndex("scheduled_kwh");
-    for (size_t i = 0; i < slice_it->second.size(); ++i) {
-      Value v = Value::Null();
-      if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
-        v = Value(offer.schedule->energy_kwh[i]);
-      }
-      FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.column(*col).Set(slice_it->second[i], v));
+  Column& scheduled = fact_profile_slice_.column(kSliceScheduledKwh);
+  for (size_t r = slice_begin_[row]; r < slice_begin_[row + 1]; ++r) {
+    const size_t i = r - slice_begin_[row];
+    Value v = Value::Null();
+    if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
+      v = Value(offer.schedule->energy_kwh[i]);
     }
+    FLEXVIS_RETURN_IF_ERROR(scheduled.Set(r, v));
   }
   return OkStatus();
 }
 
 core::FlexOffer Database::ReconstructOffer(size_t fact_row) const {
-  const Table& f = fact_flexoffer_;
-  auto geti = [&](const char* name) {
-    return f.FindColumn(name)->GetInt64(fact_row);
-  };
-  auto getd = [&](const char* name) {
-    return f.FindColumn(name)->GetDouble(fact_row);
-  };
-  (void)getd;
-
+  auto get = [&](FactColumn c) { return fact_flexoffer_.column(c).GetInt64(fact_row); };
   FlexOffer offer;
-  offer.id = geti("offer_id");
-  offer.prosumer = geti("prosumer_id");
-  offer.region = geti("region_id");
-  offer.grid_node = geti("grid_node_id");
-  offer.energy_type = static_cast<core::EnergyType>(geti("energy_type"));
-  offer.prosumer_type = static_cast<core::ProsumerType>(geti("prosumer_type"));
-  offer.appliance_type = static_cast<core::ApplianceType>(geti("appliance_type"));
-  offer.direction = static_cast<core::Direction>(geti("direction"));
-  offer.state = static_cast<core::FlexOfferState>(geti("state"));
-  offer.creation_time = TimePoint::FromMinutes(geti("creation_min"));
-  offer.acceptance_deadline = TimePoint::FromMinutes(geti("acceptance_min"));
-  offer.assignment_deadline = TimePoint::FromMinutes(geti("assignment_min"));
-  offer.earliest_start = TimePoint::FromMinutes(geti("earliest_start_min"));
-  offer.latest_start = TimePoint::FromMinutes(geti("latest_start_min"));
+  offer.id = get(kOfferId);
+  offer.prosumer = get(kProsumerId);
+  offer.region = get(kRegionId);
+  offer.grid_node = get(kGridNodeId);
+  offer.energy_type = static_cast<core::EnergyType>(get(kEnergyType));
+  offer.prosumer_type = static_cast<core::ProsumerType>(get(kProsumerType));
+  offer.appliance_type = static_cast<core::ApplianceType>(get(kApplianceType));
+  offer.direction = static_cast<core::Direction>(get(kDirection));
+  offer.state = static_cast<core::FlexOfferState>(get(kState));
+  offer.creation_time = TimePoint::FromMinutes(get(kCreationMin));
+  offer.acceptance_deadline = TimePoint::FromMinutes(get(kAcceptanceMin));
+  offer.assignment_deadline = TimePoint::FromMinutes(get(kAssignmentMin));
+  offer.earliest_start = TimePoint::FromMinutes(get(kEarliestStartMin));
+  offer.latest_start = TimePoint::FromMinutes(get(kLatestStartMin));
 
-  // Profile from the slice fact table.
-  auto slice_it = slice_rows_.find(offer.id);
+  // Profile from the offer's run of rows in the slice fact table.
+  const size_t begin = slice_begin_[fact_row];
+  const size_t end = slice_begin_[fact_row + 1];
+  const Column& min_col = fact_profile_slice_.column(kMinKwh);
+  const Column& max_col = fact_profile_slice_.column(kMaxKwh);
+  const Column& sch_col = fact_profile_slice_.column(kSliceScheduledKwh);
   std::vector<core::ProfileSlice> units;
   std::vector<double> scheduled;
+  units.reserve(end - begin);
+  scheduled.reserve(end - begin);
   bool any_scheduled = false;
-  if (slice_it != slice_rows_.end()) {
-    const Column* min_col = fact_profile_slice_.FindColumn("min_kwh");
-    const Column* max_col = fact_profile_slice_.FindColumn("max_kwh");
-    const Column* sch_col = fact_profile_slice_.FindColumn("scheduled_kwh");
-    units.reserve(slice_it->second.size());
-    for (size_t r : slice_it->second) {
-      units.push_back(core::ProfileSlice{1, min_col->GetDouble(r), max_col->GetDouble(r)});
-      if (!sch_col->IsNull(r)) {
-        any_scheduled = true;
-        scheduled.push_back(sch_col->GetDouble(r));
-      } else {
-        scheduled.push_back(0.0);
-      }
-    }
+  for (size_t r = begin; r < end; ++r) {
+    units.push_back(core::ProfileSlice{1, min_col.GetDouble(r), max_col.GetDouble(r)});
+    const bool has_schedule = !sch_col.IsNull(r);
+    any_scheduled = any_scheduled || has_schedule;
+    scheduled.push_back(has_schedule ? sch_col.GetDouble(r) : 0.0);
   }
   offer.profile = core::CompressProfile(units);
 
-  const Column* sched_start = f.FindColumn("scheduled_start_min");
-  if (!sched_start->IsNull(fact_row) && any_scheduled) {
+  const Column& sched_start = fact_flexoffer_.column(kScheduledStartMin);
+  if (!sched_start.IsNull(fact_row) && any_scheduled) {
     core::Schedule sched;
-    sched.start = TimePoint::FromMinutes(sched_start->GetInt64(fact_row));
+    sched.start = TimePoint::FromMinutes(sched_start.GetInt64(fact_row));
     sched.energy_kwh = std::move(scheduled);
     offer.schedule = std::move(sched);
   }

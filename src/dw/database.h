@@ -154,7 +154,9 @@ class Database {
   Result<Table> QueryFacts(const Query& query) const { return Execute(fact_flexoffer_, query); }
 
  private:
-  Status AppendFactRow(const core::FlexOffer& offer);
+  /// Appends the offer's fact row and slice rows through the typed column
+  /// appends; LoadFlexOffers commits them.
+  void AppendFactRow(const core::FlexOffer& offer);
   core::FlexOffer ReconstructOffer(size_t fact_row) const;
 
   Table fact_flexoffer_;
@@ -169,7 +171,9 @@ class Database {
   std::vector<GridNodeInfo> grid_nodes_;
 
   std::unordered_map<core::FlexOfferId, size_t> offer_row_;
-  std::unordered_map<core::FlexOfferId, std::vector<size_t>> slice_rows_;
+  /// CSR offsets: the slice rows of fact row r are
+  /// [slice_begin_[r], slice_begin_[r + 1]) of fact_profile_slice_.
+  std::vector<size_t> slice_begin_{0};
   std::unordered_map<core::FlexOfferId, std::vector<core::FlexOfferId>> aggregate_members_;
 };
 

@@ -27,12 +27,7 @@ void Column::MarkValidity(bool valid) {
 
 Status Column::Append(const Value& value) {
   if (value.is_null()) {
-    switch (spec_.type) {
-      case ColumnType::kInt64: ints_.push_back(0); break;
-      case ColumnType::kDouble: doubles_.push_back(0.0); break;
-      case ColumnType::kString: strings_.emplace_back(); break;
-    }
-    MarkValidity(false);
+    AppendNull();
     return OkStatus();
   }
   switch (spec_.type) {
@@ -71,6 +66,15 @@ void Column::AppendDouble(double v) {
 void Column::AppendString(std::string v) {
   strings_.push_back(std::move(v));
   MarkValidity(true);
+}
+
+void Column::AppendNull() {
+  switch (spec_.type) {
+    case ColumnType::kInt64: ints_.push_back(0); break;
+    case ColumnType::kDouble: doubles_.push_back(0.0); break;
+    case ColumnType::kString: strings_.emplace_back(); break;
+  }
+  MarkValidity(false);
 }
 
 bool Column::IsNull(size_t row) const { return !valid_.empty() && valid_[row] == 0; }
@@ -161,6 +165,19 @@ Status Table::AppendRow(const std::vector<Value>& cells) {
     if (!s.ok()) return s;  // unreachable after pre-validation
   }
   ++num_rows_;
+  return OkStatus();
+}
+
+Status Table::CommitAppendedRows() {
+  const size_t rows = columns_.empty() ? num_rows_ : columns_.front().size();
+  for (const Column& c : columns_) {
+    if (c.size() != rows) {
+      return InternalError(StrFormat("table '%s': column '%s' has %zu rows, column '%s' %zu",
+                                     name_.c_str(), columns_.front().name().c_str(), rows,
+                                     c.name().c_str(), c.size()));
+    }
+  }
+  num_rows_ = rows;
   return OkStatus();
 }
 

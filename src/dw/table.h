@@ -31,10 +31,12 @@ class Column {
   /// an error.
   Status Append(const Value& value);
 
-  /// Typed fast-path appends (precondition: matching type).
+  /// Typed fast-path appends (precondition: matching type). Rows appended
+  /// this way become visible through Table::CommitAppendedRows.
   void AppendInt64(int64_t v);
   void AppendDouble(double v);
   void AppendString(std::string v);
+  void AppendNull();
 
   /// Cell accessor (returns Null for null cells). Precondition: row < size().
   Value Get(size_t row) const;
@@ -51,9 +53,14 @@ class Column {
   const std::string& GetString(size_t row) const { return strings_[row]; }
 
   /// Raw contiguous storage for columnar scans (precondition: matching
-  /// type). The pointer is invalidated by any append.
+  /// type). The pointer is invalidated by any append. Null cells hold 0,
+  /// 0.0 or "".
   const int64_t* Int64Data() const { return ints_.data(); }
   const double* DoubleData() const { return doubles_.data(); }
+  const std::string* StringData() const { return strings_.data(); }
+
+  /// One flag per row (0 = null), or nullptr while the column holds no null.
+  const uint8_t* ValidityData() const { return valid_.empty() ? nullptr : valid_.data(); }
 
  private:
   void MarkValidity(bool valid);
@@ -89,6 +96,11 @@ class Table {
   /// Appends one row; `cells.size()` must equal NumColumns() and each cell
   /// must match its column type (or be null).
   Status AppendRow(const std::vector<Value>& cells);
+
+  /// Makes rows appended column by column through the typed Column appends
+  /// part of the table. Every column must have grown to the same length,
+  /// which becomes NumRows(); otherwise Internal error and NumRows() stays.
+  Status CommitAppendedRows();
 
   /// One row as Values in schema order.
   std::vector<Value> GetRow(size_t row) const;

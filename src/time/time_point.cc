@@ -97,8 +97,23 @@ CalendarTime TimePoint::ToCalendar() const {
 }
 
 std::string TimePoint::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void TimePoint::AppendTo(std::string* out) const {
+  // The fields of "%04d-%02d-%02d %02d:%02d", one at a time.
   CalendarTime c = ToCalendar();
-  return StrFormat("%04d-%02d-%02d %02d:%02d", c.year, c.month, c.day, c.hour, c.minute);
+  StrAppendInt(out, c.year, 4);
+  out->push_back('-');
+  StrAppendInt(out, c.month, 2);
+  out->push_back('-');
+  StrAppendInt(out, c.day, 2);
+  out->push_back(' ');
+  StrAppendInt(out, c.hour, 2);
+  out->push_back(':');
+  StrAppendInt(out, c.minute, 2);
 }
 
 std::string TimePoint::TimeOfDayString() const {

@@ -49,6 +49,9 @@ class TimePoint {
   /// "YYYY-MM-DD HH:MM".
   std::string ToString() const;
 
+  /// Appends ToString() to `out`.
+  void AppendTo(std::string* out) const;
+
   /// "HH:MM" (used for axis tick labels inside a single day).
   std::string TimeOfDayString() const;
 

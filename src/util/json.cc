@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -141,11 +142,15 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       break;
     case Kind::kInt:
-      *out += StrFormat("%lld", static_cast<long long>(int_));
+      StrAppendInt(out, int_);
       break;
     case Kind::kDouble:
       if (std::isfinite(double_)) {
-        *out += StrFormat("%.17g", double_);
+        // to_chars with a precision is specified as printf("%.17g").
+        char text[32];
+        char* end = std::to_chars(text, text + sizeof(text), double_,
+                                  std::chars_format::general, 17).ptr;
+        out->append(text, end);
       } else {
         *out += "null";  // JSON has no Inf/NaN
       }
@@ -262,8 +267,16 @@ class JsonParser {
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        // Containers recurse; the cap turns a hostile [[[...]]] into an
+        // error instead of a stack overflow.
+        if (depth_ == JsonValue::kMaxDepth) return Error("containers nested too deeply");
+        ++depth_;
+        Result<JsonValue> container = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"': {
         Result<std::string> s = ParseString();
         if (!s.ok()) return s.status();
@@ -416,6 +429,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

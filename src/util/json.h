@@ -69,8 +69,14 @@ class JsonValue {
   std::string Dump() const;
   std::string Pretty() const;
 
+  /// Deepest container nesting Parse accepts. Every document the system
+  /// writes nests a handful of levels; deeper input is rejected rather than
+  /// recursed into.
+  static constexpr int kMaxDepth = 256;
+
   /// Parses a JSON document. The whole input must be consumed (trailing
-  /// non-whitespace is an error).
+  /// non-whitespace is an error); nesting deeper than kMaxDepth is
+  /// InvalidArgument.
   static Result<JsonValue> Parse(std::string_view text);
 
   friend bool operator==(const JsonValue& a, const JsonValue& b);

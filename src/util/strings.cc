@@ -1,20 +1,28 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace flexvis {
 
 std::string StrFormat(const char* format, ...) {
+  // One vsnprintf into a stack buffer covers nearly every caller; only longer
+  // outputs pay for the second pass into a heap buffer of the exact size.
+  char stack[256];
   va_list args;
   va_start(args, format);
   va_list args_copy;
   va_copy(args_copy, args);
-  int needed = std::vsnprintf(nullptr, 0, format, args);
+  int needed = std::vsnprintf(stack, sizeof(stack), format, args);
   va_end(args);
   if (needed < 0) {
     va_end(args_copy);
     return std::string();
+  }
+  if (static_cast<size_t>(needed) < sizeof(stack)) {
+    va_end(args_copy);
+    return std::string(stack, static_cast<size_t>(needed));
   }
   std::string out(static_cast<size_t>(needed), '\0');
   std::vsnprintf(out.data(), out.size() + 1, format, args_copy);
@@ -79,12 +87,42 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+void StrAppendInt(std::string* out, int64_t value, int width) {
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  const int length = static_cast<int>(end - digits);
+  const bool negative = value < 0;
+  // printf's zero padding goes between the sign and the digits.
+  if (negative) out->push_back('-');
+  if (width > length) out->append(static_cast<size_t>(width - length), '0');
+  out->append(digits + (negative ? 1 : 0), end);
+}
+
+void StrAppendDouble(std::string* out, double value, int digits) {
+  // to_chars with a precision is specified as printf("%.*f"); 1e308 with a
+  // few dozen digits still fits. Other requests take the printf path itself.
+  char text[384];
+  std::to_chars_result r{text, std::errc::value_too_large};
+  if (digits >= 0) {
+    r = std::to_chars(text, text + sizeof(text), value, std::chars_format::fixed, digits);
+  }
+  std::string wide;
+  std::string_view fixed(text, static_cast<size_t>(r.ptr - text));
+  if (r.ec != std::errc()) {
+    wide = StrFormat("%.*f", digits, value);
+    fixed = wide;
+  }
+  if (fixed.find('.') != std::string_view::npos) {
+    size_t last = fixed.find_last_not_of('0');
+    if (fixed[last] == '.') --last;
+    fixed = fixed.substr(0, last + 1);
+  }
+  out->append(fixed);
+}
+
 std::string FormatDouble(double value, int digits) {
-  std::string out = StrFormat("%.*f", digits, value);
-  if (out.find('.') == std::string::npos) return out;
-  size_t last = out.find_last_not_of('0');
-  if (out[last] == '.') --last;
-  out.erase(last + 1);
+  std::string out;
+  StrAppendDouble(&out, value, digits);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define FLEXVIS_UTIL_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +38,13 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// Formats a double with `digits` fractional digits, trimming trailing zeros
 /// ("12.50" -> "12.5", "3.00" -> "3").
 std::string FormatDouble(double value, int digits);
+
+/// Appends FormatDouble(value, digits) to `out` without a temporary string.
+void StrAppendDouble(std::string* out, double value, int digits);
+
+/// Appends `value` in decimal, zero-padded to at least `width` characters
+/// with the sign counted in the width: byte-identical to printf's "%0*lld".
+void StrAppendInt(std::string* out, int64_t value, int width = 0);
 
 /// Escapes &, <, >, " and ' for embedding in XML/SVG attribute or text
 /// content.

@@ -294,6 +294,27 @@ TEST(DatabaseTest, DuplicateAndInvalidLoadRejected) {
   bad.profile.clear();
   EXPECT_EQ(db.LoadFlexOffers({bad}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(db.NumFlexOffers(), 1u);
+
+  // A duplicate within one batch rejects the whole batch before any append.
+  const size_t slices = db.fact_profile_slice().NumRows();
+  FlexOffer a = MakeOffer(3, 5, 0, 4);
+  FlexOffer b = MakeOffer(4, 6, 8, 4);
+  FlexOffer a_again = MakeOffer(3, 7, 16, 4);
+  EXPECT_EQ(db.LoadFlexOffers({a, b, a_again}).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.NumFlexOffers(), 1u);
+  EXPECT_EQ(db.fact_profile_slice().NumRows(), slices);
+  EXPECT_EQ(db.GetFlexOffer(3).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.GetFlexOffer(4).status().code(), StatusCode::kNotFound);
+  // An invalid offer after fresh ids releases their claims too.
+  EXPECT_EQ(db.LoadFlexOffers({a, b, bad}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.GetFlexOffer(3).status().code(), StatusCode::kNotFound);
+  // The rejected ids load cleanly afterwards.
+  ASSERT_TRUE(db.LoadFlexOffers({a, b}).ok());
+  EXPECT_EQ(db.NumFlexOffers(), 3u);
+  Result<std::vector<FlexOffer>> all = db.SelectFlexOffers(FlexOfferFilter{});
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 3u);
+  EXPECT_EQ(db.GetFlexOffer(3)->prosumer, 5);
 }
 
 TEST(DatabaseTest, AggregateProvenancePersists) {

@@ -122,6 +122,41 @@ TEST(JsonParseTest, Errors) {
   EXPECT_FALSE(JsonValue::Parse("--5").ok());
 }
 
+// `depth` nested arrays, or objects {"k":{"k":...}}, around a 1.
+std::string Nested(int depth, bool objects) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += objects ? "{\"k\":" : "[";
+  text += "1";
+  for (int i = 0; i < depth; ++i) text += objects ? "}" : "]";
+  return text;
+}
+
+TEST(JsonParseTest, NestingUpToTheCapParses) {
+  for (bool objects : {false, true}) {
+    Result<JsonValue> parsed = JsonValue::Parse(Nested(JsonValue::kMaxDepth, objects));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const JsonValue* v = &*parsed;
+    for (int i = 0; i < JsonValue::kMaxDepth; ++i) v = objects ? &v->Get("k") : &(*v)[0];
+    EXPECT_EQ(v->AsInt(), 1);
+  }
+}
+
+TEST(JsonParseTest, NestingBeyondTheCapIsRejectedNotACrash) {
+  // 200k levels overflowed the stack before the cap existed.
+  for (int depth : {JsonValue::kMaxDepth + 1, 200000}) {
+    for (bool objects : {false, true}) {
+      Result<JsonValue> parsed = JsonValue::Parse(Nested(depth, objects));
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << depth;
+    }
+  }
+  // Unterminated and mixed deep input stops at the cap as well.
+  EXPECT_EQ(JsonValue::Parse(std::string(200000, '[')).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string mixed;
+  for (int i = 0; i < 100000; ++i) mixed += "[{\"k\":";
+  EXPECT_EQ(JsonValue::Parse(mixed).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(JsonParseTest, WhitespaceTolerance) {
   Result<JsonValue> parsed = JsonValue::Parse("  {\n\t\"a\" :\r [ 1 , 2 ]  }  ");
   ASSERT_TRUE(parsed.ok());

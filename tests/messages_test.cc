@@ -135,6 +135,21 @@ TEST(MessageTest, RejectsInvalidEnvelopes) {
   EXPECT_FALSE(core::DecodeMessage(core::EncodeMessage(Message(bad))).ok());
 }
 
+TEST(MessageTest, DeeplyNestedEnvelopesAreRejectedNotACrash) {
+  // A 200k-deep value inside a flex-offer message, as an array and as an
+  // object, and a 200k-deep envelope: each is a typed error.
+  const int depth = 200000;
+  std::string deep_array = std::string(depth, '[') + std::string(depth, ']');
+  std::string deep_object;
+  for (int i = 0; i < depth; ++i) deep_object += "{\"k\":";
+  deep_object += "0" + std::string(depth, '}');
+  for (const std::string& deep : {deep_array, deep_object}) {
+    const std::string wire = R"({"type":"flex_offer","payload":{"id":1,"profile":)" + deep + "}}";
+    EXPECT_EQ(core::DecodeMessage(wire).status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(core::DecodeMessage(deep).status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // Property: the codec round-trips every generated workload offer.
 class MessageCodecPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
