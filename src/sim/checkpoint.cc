@@ -1,6 +1,7 @@
 #include "sim/checkpoint.h"
 
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "core/messages.h"
@@ -73,7 +74,6 @@ std::string EncodeMeta(const OnlineParams& params, const timeutil::TimeInterval&
   meta.Set("ingest_queue_capacity", JsonValue::Int(params.ingest_queue_capacity));
   meta.Set("shed_policy", JsonValue::Int(static_cast<int64_t>(params.shed_policy)));
   meta.Set("compact_ticks", JsonValue::Int(params.compact_ticks));
-  meta.Set("compact_bytes", JsonValue::Int(params.compact_bytes));
   meta.Set("forecaster", JsonValue::Str(params.forecaster));
   meta.Set("bidding", JsonValue::Str(params.bidding));
   return meta.Dump();
@@ -120,7 +120,8 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
       static_cast<int>(GetIntOr(meta, "ingest_queue_capacity", 0));
   params->shed_policy = static_cast<ShedPolicy>(GetIntOr(meta, "shed_policy", 0));
   params->compact_ticks = static_cast<int>(GetIntOr(meta, "compact_ticks", 0));
-  params->compact_bytes = GetIntOr(meta, "compact_bytes", 0);
+  // Runs from before the byte-size compaction trigger was retired also
+  // wrote its budget here; the key is ignored.
   // Pinned strategy identity. Absent keys (pre-strategy checkpoints) resume
   // under the defaults; a *present* unknown name is a configuration error
   // surfaced before any replay, naming the registered options.
@@ -171,82 +172,24 @@ Status DecodeOffers(std::string_view lines, std::vector<core::FlexOffer>* offers
   return OkStatus();
 }
 
-/// Executes the remaining ticks live: journal append + flush before the next
-/// tick starts (the flush is the durability point), folding every record
-/// into `fold` and compacting the store on the params cadences.
-/// `journal_bytes` is the record payload already sitting in the WAL when the
-/// loop starts (0 on a fresh run; the replayed tail's bytes on a resume), so
-/// the byte trigger continues exactly where the interrupted run left off.
-Result<OnlineReport> ContinueJournaled(const OnlineEnterprise& enterprise,
-                                       OnlineLoopState state, DurableStore& store,
-                                       const StoreFiles& snapshot_files,
-                                       OnlineTickRecord* fold, int* ticks_continued,
-                                       uint64_t journal_bytes) {
-  const int compact_ticks = enterprise.params().compact_ticks;
-  const int64_t compact_bytes = enterprise.params().compact_bytes;
-  while (!enterprise.Done(state)) {
-    OnlineTickRecord record;
-    enterprise.Tick(state, &record);
-    const std::string encoded = EncodeTickRecord(record);
-    FLEXVIS_RETURN_IF_ERROR(store.Append(encoded));
-    FLEXVIS_RETURN_IF_ERROR(store.Flush());
-    journal_bytes += encoded.size();
-    FoldTickRecordInto(fold, record);
-    if (ticks_continued != nullptr) ++*ticks_continued;
-    const bool ticks_due = compact_ticks > 0 && (record.tick + 1) % compact_ticks == 0;
-    const bool bytes_due =
-        compact_bytes > 0 && journal_bytes >= static_cast<uint64_t>(compact_bytes);
-    if (ticks_due || bytes_due) {
-      // Fold the journal into a new generation: the fold covers every tick
-      // since Begin (including any previously folded base), so the new
-      // snapshot alone reproduces the post-tick state and the WAL restarts
-      // empty. The tick cadence keys off the absolute tick index and the
-      // byte trigger off the deterministic encoded record sizes, so a
-      // resumed run compacts at the same boundaries the uninterrupted run
-      // would.
-      StoreFiles files = snapshot_files;
-      files.emplace_back(kCheckpointStateFile, EncodeTickRecord(*fold));
-      FLEXVIS_RETURN_IF_ERROR(store.Compact(files, JsonValue()));
-      journal_bytes = 0;
-    }
-  }
-  FLEXVIS_RETURN_IF_ERROR(store.Close());
-  return enterprise.Finish(std::move(state));
-}
-
 }  // namespace
 
-namespace {
-
-/// Shared parse for the compaction env knobs: unset/empty = 0 (off); a set
-/// value must be a strictly positive integer or the result is an
-/// InvalidArgument error naming the variable.
-Result<int64_t> CompactEnvValue(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr || *env == '\0') return static_cast<int64_t>(0);
+Result<int> CompactTicksFromEnv() {
+  const char* env = std::getenv(kCompactTicksEnvVar);
+  if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
   const long long value = std::strtoll(env, &end, 10);
   if (end == env || *end != '\0') {
     return InvalidArgumentError(
-        StrFormat("$%s is not an integer: '%s'", var, env));
+        StrFormat("$%s is not an integer: '%s'", kCompactTicksEnvVar, env));
   }
-  if (value <= 0) {
+  if (value <= 0 || value > std::numeric_limits<int>::max()) {
     return InvalidArgumentError(StrFormat(
-        "$%s must be a positive integer (unset it to disable compaction), got '%s'", var,
-        env));
+        "$%s must be a positive integer (unset it to disable compaction), got '%s'",
+        kCompactTicksEnvVar, env));
   }
-  return static_cast<int64_t>(value);
+  return static_cast<int>(value);
 }
-
-}  // namespace
-
-Result<int> CompactTicksFromEnv() {
-  Result<int64_t> value = CompactEnvValue(kCompactTicksEnvVar);
-  if (!value.ok()) return value.status();
-  return static_cast<int>(*value);
-}
-
-Result<int64_t> CompactBytesFromEnv() { return CompactEnvValue(kCompactBytesEnvVar); }
 
 StoreOptions CheckpointStoreOptions() {
   StoreOptions options;
@@ -381,7 +324,10 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
   if (!parsed.ok() || !parsed->is_object()) {
     return DataLossError("journal record is not a JSON object");
   }
-  const JsonValue& json = *parsed;
+  return DecodeTickRecord(*parsed);
+}
+
+Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json) {
   OnlineTickRecord record;
   Result<int64_t> tick = json.GetInt("tick");
   Result<int64_t> received = json.GetInt("received");
@@ -439,102 +385,6 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
   FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_acc", &record.pending_acceptance));
   FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_asn", &record.pending_assignment));
   return record;
-}
-
-Result<OnlineReport> RunOnlineCheckpointed(const OnlineParams& params,
-                                           const std::vector<core::FlexOffer>& offers,
-                                           const timeutil::TimeInterval& window,
-                                           const std::string& directory) {
-  OnlineEnterprise enterprise(params);
-  Result<OnlineLoopState> state = enterprise.Begin(offers, window);
-  if (!state.ok()) return state.status();
-
-  // Create invalidates any previous checkpoint (manifest removed first) and
-  // commits the generation-0 snapshot before the first tick runs.
-  const StoreFiles snapshot = EncodeOnlineSnapshot(params, offers, window);
-  Result<DurableStore> store =
-      DurableStore::Create(directory, CheckpointStoreOptions(), snapshot, JsonValue());
-  if (!store.ok()) return store.status();
-
-  OnlineTickRecord fold;
-  return ContinueJournaled(enterprise, *std::move(state), *store, snapshot, &fold, nullptr,
-                           0);
-}
-
-Result<OnlineReport> ResumeOnline(const std::string& directory, ResumeInfo* info) {
-  if (info != nullptr) *info = ResumeInfo{};
-
-  // Store integrity gates everything: a crash before the manifest landed
-  // means no tick ever ran (the journal is only written after the snapshot
-  // commits), so the caller can simply rerun from its inputs. Resume also
-  // repairs a torn journal tail and garbage-collects compaction debris.
-  StoreRecovery recovery;
-  Result<DurableStore> store =
-      DurableStore::Resume(directory, CheckpointStoreOptions(), &recovery);
-  if (!store.ok()) return store.status();
-
-  OnlineParams params;
-  timeutil::TimeInterval window;
-  std::vector<core::FlexOffer> offers;
-  FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(recovery, &params, &offers, &window));
-
-  OnlineEnterprise enterprise(params);
-  Result<OnlineLoopState> state = enterprise.Begin(offers, window);
-  if (!state.ok()) return state.status();
-
-  // A compacted generation carries the fold of every tick before the
-  // compaction point as state.json — one Apply recovers them all.
-  OnlineTickRecord fold;
-  auto folded_state = recovery.files.find(kCheckpointStateFile);
-  if (folded_state != recovery.files.end()) {
-    Result<OnlineTickRecord> base = DecodeTickRecord(folded_state->second);
-    if (!base.ok()) return base.status();
-    if (!base->folded) {
-      return DataLossError("checkpoint state.json is not a folded tick record");
-    }
-    FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*state, *base));
-    fold = *std::move(base);
-    if (info != nullptr) info->ticks_folded = fold.tick + 1;
-  }
-
-  // Replay the journal tail of the committed generation, accounting its
-  // record payload so the byte trigger resumes mid-budget.
-  uint64_t tail_bytes = 0;
-  for (const std::string& record_text : recovery.records) {
-    Result<OnlineTickRecord> record = DecodeTickRecord(record_text);
-    if (!record.ok()) return record.status();
-    FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*state, *record));
-    FoldTickRecordInto(&fold, *record);
-    tail_bytes += record_text.size();
-  }
-  if (info != nullptr) {
-    info->ticks_replayed = static_cast<int>(recovery.records.size());
-    info->generation = recovery.generation;
-    info->torn_tail = recovery.torn_tail;
-    info->torn_bytes = recovery.torn_bytes;
-  }
-
-  // A journal tail that ends on a compaction boundary — the tick cadence, or
-  // a record payload at/over the byte budget — means the crash interrupted
-  // that boundary's compaction: an uninterrupted run compacts before the
-  // next tick starts, so it never leaves such a tail. Re-execute the
-  // compaction now: the directory converges to the layout the uninterrupted
-  // run would have, and the bounded-replay guarantees (at most compact_ticks
-  // records / compact_bytes payload, plus one record) hold again after
-  // recovery.
-  const StoreFiles snapshot = EncodeOnlineSnapshot(params, offers, window);
-  const bool ticks_due = params.compact_ticks > 0 &&
-                         (fold.tick + 1) % params.compact_ticks == 0;
-  const bool bytes_due = params.compact_bytes > 0 &&
-                         tail_bytes >= static_cast<uint64_t>(params.compact_bytes);
-  if (!recovery.records.empty() && (ticks_due || bytes_due)) {
-    StoreFiles files = snapshot;
-    files.emplace_back(kCheckpointStateFile, EncodeTickRecord(fold));
-    FLEXVIS_RETURN_IF_ERROR(store->Compact(files, JsonValue()));
-    tail_bytes = 0;
-  }
-  return ContinueJournaled(enterprise, *std::move(state), *store, snapshot, &fold,
-                           info != nullptr ? &info->ticks_continued : nullptr, tail_bytes);
 }
 
 }  // namespace flexvis::sim

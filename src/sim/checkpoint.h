@@ -12,9 +12,12 @@
 
 namespace flexvis::sim {
 
-/// Crash-consistent checkpointing for the online planning loop, built on the
-/// generational util/store engine. A checkpoint directory is one DurableStore
-/// whose generation holds
+/// The checkpoint store of one online planning loop, built on the
+/// generational util/store engine. The sharded Coordinator (sim/coordinator)
+/// keeps one such store per shard — its RunShardedCheckpointed /
+/// ResumeSharded are the checkpointed online loop, at any shard count
+/// including 1 — and this header holds the store's layout and codecs. A
+/// checkpoint store directory is one DurableStore whose generation holds
 ///
 ///   meta.json       window + OnlineParams (the run's immutable inputs)
 ///   offers.jsonl    the input flex-offers, one message-format offer per line
@@ -25,28 +28,15 @@ namespace flexvis::sim {
 ///   journal.wal     write-ahead journal of OnlineTickRecords, one frame per
 ///                   tick, flushed after every append
 ///
-/// RunOnlineCheckpointed snapshots the inputs before the first tick and
-/// journals every tick's decisions; ResumeOnline rebuilds the loop state by
-/// replaying snapshot + folded state + journal — applying recorded
-/// decisions, never re-running them — and continues the run, producing an
-/// OnlineReport and outbox byte-identical to an uninterrupted run. A crash
-/// before the snapshot manifest lands surfaces as kDataLoss (nothing was
-/// promised yet; rerun from the inputs); a torn journal tail is truncated
-/// and the lost ticks re-executed.
-///
-/// Compaction: with OnlineParams::compact_ticks = C > 0 the run folds the
-/// journal into a new store generation after every C-th tick — the folded
-/// record becomes state.json, the manifest commit supersedes the old
-/// generation, and the WAL restarts empty — so a resume replays at most C
-/// tick records no matter how long the run is. OnlineParams::compact_bytes
-/// = B > 0 adds a size trigger on the same fold: the run also compacts as
-/// soon as the journal's record payload since the last fold reaches B bytes
-/// (Σ EncodeTickRecord sizes — a deterministic function of the decisions, so
-/// the fold boundaries stay identical across reruns and resumes), bounding
-/// resume replay by byte budget even when tick records vary wildly in size.
-/// Either trigger may be used alone or both together. Generation > 0 files
-/// carry a ".g<G>" suffix; recovery lands on exactly one committed
-/// generation and garbage-collects the debris of the other.
+/// Recovery applies snapshot + folded state + journal — recorded decisions,
+/// never re-run — so a resumed run is byte-identical to an uninterrupted one.
+/// Compaction: with OnlineParams::compact_ticks = C > 0 the journal is folded
+/// into a new store generation after every C-th tick — the folded record
+/// becomes state.json, the manifest commit supersedes the old generation,
+/// and the WAL restarts empty — so a resume replays at most C tick records
+/// no matter how long the run is. Generation > 0 files carry a ".g<G>"
+/// suffix; recovery lands on exactly one committed generation and
+/// garbage-collects the debris of the other.
 
 inline constexpr const char* kCheckpointMetaFile = "meta.json";
 inline constexpr const char* kCheckpointOffersFile = "offers.jsonl";
@@ -54,11 +44,10 @@ inline constexpr const char* kCheckpointStateFile = "state.json";
 inline constexpr const char* kCheckpointManifestFile = "SNAPSHOT.json";
 inline constexpr const char* kCheckpointJournalFile = "journal.wal";
 
-/// Environment knobs for the compaction cadence. Unset or empty = off;
+/// Environment knob for the compaction cadence. Unset or empty = off;
 /// anything else must parse as a strictly positive integer (ticks between
-/// folds / journal bytes between folds).
+/// folds).
 inline constexpr const char* kCompactTicksEnvVar = "FLEXVIS_COMPACT_TICKS";
-inline constexpr const char* kCompactBytesEnvVar = "FLEXVIS_COMPACT_BYTES";
 
 /// Parses $FLEXVIS_COMPACT_TICKS into an OnlineParams::compact_ticks value.
 /// Unset/empty yields 0 (off); a set value that is unparsable, zero, or
@@ -68,14 +57,12 @@ inline constexpr const char* kCompactBytesEnvVar = "FLEXVIS_COMPACT_BYTES";
 /// environment behind a caller's back.
 Result<int> CompactTicksFromEnv();
 
-/// Same contract for $FLEXVIS_COMPACT_BYTES -> OnlineParams::compact_bytes.
-Result<int64_t> CompactBytesFromEnv();
-
 /// The store layout above as StoreOptions (manifest SNAPSHOT.json, WAL
 /// journal.wal). The sharded coordinator opens one such store per shard.
 StoreOptions CheckpointStoreOptions();
 
-/// Observability of a recovery: how much state came back from disk.
+/// Observability of one checkpoint store's recovery (per shard in
+/// ShardResumeInfo): how much state came back from disk.
 struct ResumeInfo {
   /// Ticks recovered from the folded state.json of a compacted generation
   /// (no decision logic re-run, no per-tick records read).
@@ -93,24 +80,6 @@ struct ResumeInfo {
   uint64_t torn_bytes = 0;
 };
 
-/// Runs the online loop over `window` with checkpointing into `directory`
-/// (created if needed; any previous run's checkpoint there is replaced).
-/// Each tick is journaled and flushed before the next begins, so at every
-/// instant the directory recovers to a prefix of this run.
-Result<OnlineReport> RunOnlineCheckpointed(const OnlineParams& params,
-                                           const std::vector<core::FlexOffer>& offers,
-                                           const timeutil::TimeInterval& window,
-                                           const std::string& directory);
-
-/// Recovers a run from `directory`: verifies the committed store generation
-/// (kDataLoss when the snapshot is partial or corrupt), applies the folded
-/// state (if the run compacted) and the journal tail (truncating a torn
-/// frame), then continues the remaining ticks — journaling and compacting on
-/// the cadence recorded in meta.json — and returns the completed report.
-/// Byte-identical to the report the uninterrupted run would have produced,
-/// including the outbox stream.
-Result<OnlineReport> ResumeOnline(const std::string& directory, ResumeInfo* info = nullptr);
-
 /// Serialization of one tick record (exposed for tests and the recovery
 /// bench): compact JSON via EncodeTickRecord, strict decode via
 /// DecodeTickRecord (missing fields or type mismatches error; the overload /
@@ -118,6 +87,9 @@ Result<OnlineReport> ResumeOnline(const std::string& directory, ResumeInfo* info
 /// still replay).
 std::string EncodeTickRecord(const OnlineTickRecord& record);
 Result<OnlineTickRecord> DecodeTickRecord(std::string_view text);
+/// Same, over an already-parsed record (the coordinator parses each journal
+/// frame once to tell tick records from migration records).
+Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json);
 
 /// One offer-state change as a JSON object ({"offer","state"} plus
 /// {"start_min","kwh"} when a schedule is attached) — the element format of
@@ -137,11 +109,10 @@ void FoldTickRecordInto(OnlineTickRecord* fold, const OnlineTickRecord& record);
 /// FoldTickRecordInto over a whole sequence. Precondition: non-empty.
 OnlineTickRecord FoldTickRecords(const std::vector<OnlineTickRecord>& records);
 
-// ---- Snapshot codec (shared with sim/coordinator) ---------------------------
+// ---- Snapshot codec ------------------------------------------------------------
 //
-// The sharded coordinator namespaces one of these checkpoint stores per
-// shard (shard-0000/, shard-0001/, ...) under its run directory, so every
-// shard owns exactly the layout a single-enterprise checkpoint uses.
+// The sharded coordinator namespaces one checkpoint store per shard
+// (shard-0000/, shard-0001/, ...) under its run directory.
 
 /// The immutable snapshot content (meta.json, offers.jsonl) for
 /// DurableStore::Create/Compact. Never includes state.json — compaction

@@ -64,6 +64,8 @@ void AddAligned(core::TimeSeries* acc, const core::TimeSeries& other) {
 // flushes; complete the migration by synthesizing the migrate_in), or
 // neither (the migration never happened).
 
+}  // namespace
+
 struct MigrationRecord {
   bool is_in = false;  // migrate_in vs migrate_out
   core::ProsumerId prosumer = core::kInvalidProsumerId;
@@ -78,6 +80,8 @@ struct MigrationRecord {
   bool active = false;
   MigratedState moved;
 };
+
+namespace {
 
 JsonValue IdArray(const std::vector<core::FlexOfferId>& ids) {
   JsonValue out = JsonValue::Array();
@@ -201,49 +205,44 @@ MigratedState MovedFromRecord(const MigrationRecord& record,
   return moved;
 }
 
-/// Removes the moved prosumer's footprint from the source shard's collapsed
-/// fold: its decided states and queue entries drop out and the arrival
-/// cursor retreats past its consumed arrivals. Counters (including sheds it
-/// caused) stay with the source — cumulative history does not move.
-OnlineTickRecord SpliceOutFold(const OnlineEnterprise& enterprise,
-                               const OnlineLoopState& state, const MigratedState& moved) {
-  OnlineTickRecord fold = enterprise.Snapshot(state);
+/// Removes the moved prosumer's footprint from the source shard's history
+/// fold: its offers' state changes and queue entries drop out and the
+/// arrival cursor retreats past its consumed arrivals. Counters and sent
+/// wires (including sheds it caused) stay with the source — cumulative
+/// history does not move.
+void SpliceOut(OnlineTickRecord* fold, const MigratedState& moved) {
   std::set<core::FlexOfferId> gone;
   for (const FlexOffer& offer : moved.offers) gone.insert(offer.id);
-  fold.changes.erase(std::remove_if(fold.changes.begin(), fold.changes.end(),
-                                    [&gone](const OnlineStateChange& change) {
-                                      return gone.count(change.offer) != 0;
-                                    }),
-                     fold.changes.end());
+  fold->changes.erase(std::remove_if(fold->changes.begin(), fold->changes.end(),
+                                     [&gone](const OnlineStateChange& change) {
+                                       return gone.count(change.offer) != 0;
+                                     }),
+                      fold->changes.end());
   auto drop = [&gone](std::vector<core::FlexOfferId>* ids) {
     ids->erase(std::remove_if(ids->begin(), ids->end(),
                               [&gone](core::FlexOfferId id) { return gone.count(id) != 0; }),
                ids->end());
   };
-  drop(&fold.pending_acceptance);
-  drop(&fold.pending_assignment);
-  fold.next_arrival -= static_cast<int64_t>(moved.consumed.size());
-  return fold;
+  drop(&fold->pending_acceptance);
+  drop(&fold->pending_assignment);
+  fold->next_arrival -= static_cast<int64_t>(moved.consumed.size());
 }
 
-/// Grafts the moved prosumer's footprint onto the target shard's collapsed
+/// Grafts the moved prosumer's footprint onto the target shard's history
 /// fold: decided states and queue entries append after the target's own, the
 /// arrival cursor advances over the moved consumed arrivals, and the
 /// watermark accounts for the deeper merged queue.
-OnlineTickRecord SpliceInFold(const OnlineEnterprise& enterprise,
-                              const OnlineLoopState& state, const MigratedState& moved) {
-  OnlineTickRecord fold = enterprise.Snapshot(state);
-  for (const OnlineStateChange& change : moved.states) fold.changes.push_back(change);
-  for (core::FlexOfferId id : moved.pending_acceptance) {
-    fold.pending_acceptance.push_back(id);
-  }
-  for (core::FlexOfferId id : moved.pending_assignment) {
-    fold.pending_assignment.push_back(id);
-  }
-  fold.next_arrival += static_cast<int64_t>(moved.consumed.size());
-  fold.queue_high_watermark = std::max(fold.queue_high_watermark,
-                                       static_cast<int>(fold.pending_acceptance.size()));
-  return fold;
+void SpliceIn(OnlineTickRecord* fold, const MigratedState& moved) {
+  fold->changes.insert(fold->changes.end(), moved.states.begin(), moved.states.end());
+  fold->pending_acceptance.insert(fold->pending_acceptance.end(),
+                                  moved.pending_acceptance.begin(),
+                                  moved.pending_acceptance.end());
+  fold->pending_assignment.insert(fold->pending_assignment.end(),
+                                  moved.pending_assignment.begin(),
+                                  moved.pending_assignment.end());
+  fold->next_arrival += static_cast<int64_t>(moved.consumed.size());
+  fold->queue_high_watermark = std::max(fold->queue_high_watermark,
+                                        static_cast<int>(fold->pending_acceptance.size()));
 }
 
 /// The offer subset `router` assigns to shard `s`, in global input order.
@@ -276,7 +275,7 @@ Result<ReplayedRecord> ParseJournalRecord(const std::string& payload) {
     out.migration = *std::move(migration);
     return out;
   }
-  Result<OnlineTickRecord> tick = DecodeTickRecord(payload);
+  Result<OnlineTickRecord> tick = DecodeTickRecord(*parsed);
   if (!tick.ok()) return tick.status();
   out.tick = *std::move(tick);
   return out;
@@ -315,9 +314,10 @@ int ShardsFromEnv(int fallback) {
 
 /// Everything one shard owns: its loop parameters (energy scaled, faults
 /// pointed at the shard registry), its fault registry, its live state, the
-/// list of applied records (a resumed shard's first entry is the folded
-/// record of its compacted generation; replayed on migration rebuilds), and
-/// — when checkpointed — its open durable store.
+/// records applied since Begin (after a compaction, migration splice or
+/// resume the first entry is a folded record standing in for everything
+/// before it; splices and compactions fold the list), and — when
+/// checkpointed — its open durable store.
 struct Coordinator::Shard {
   OnlineParams params;
   std::unique_ptr<FaultRegistry> registry;
@@ -536,81 +536,15 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     std::vector<FlexOffer> subset;
     subset.reserve(partition[static_cast<size_t>(s)].size());
     for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
+    OnlineTickRecord fold = FoldTickRecords(shard.applied);
     StoreFiles files = EncodeOnlineSnapshot(shard.params, subset, window_);
-    files.emplace_back(kCheckpointStateFile,
-                       EncodeTickRecord(FoldTickRecords(shard.applied)));
+    files.emplace_back(kCheckpointStateFile, EncodeTickRecord(fold));
     FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
+    // The committed fold stands in for everything applied so far, exactly as
+    // it does for a shard resumed from this generation.
+    shard.applied.clear();
+    shard.applied.push_back(std::move(fold));
   }
-  return OkStatus();
-}
-
-Status Coordinator::RebakeShard(int s, int64_t epoch) {
-  OnlineLoopState rebuilt;
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(s, router_, &rebuilt));
-  shards_[static_cast<size_t>(s)]->state = std::move(rebuilt);
-  epoch_ = std::max(epoch_, epoch);
-  return OkStatus();
-}
-
-Status Coordinator::RebuildShard(int s, const ShardRouter& router,
-                                 OnlineLoopState* out) const {
-  const Shard& shard = *shards_[static_cast<size_t>(s)];
-  std::vector<FlexOffer> subset;
-  for (const FlexOffer& offer : offers_) {
-    if (router.ShardOf(offer) == s) subset.push_back(offer);
-  }
-  Result<OnlineLoopState> rebuilt = shard.enterprise.Begin(subset, window_);
-  if (!rebuilt.ok()) return rebuilt.status();
-  for (const OnlineTickRecord& record : shard.applied) {
-    FLEXVIS_RETURN_IF_ERROR(shard.enterprise.Apply(*rebuilt, record));
-  }
-
-  // Replay-diff against the live state. The arrival-prefix comparison is the
-  // real migration precondition: history is untouched exactly when every
-  // already-consumed arrival position maps to the same offer before and
-  // after the membership change.
-  const OnlineLoopState& live = shard.state;
-  if (rebuilt->next_tick != live.next_tick ||
-      rebuilt->next_arrival != live.next_arrival) {
-    return FailedPreconditionError(StrFormat(
-        "migration would perturb shard %d history (tick %d vs %d, arrival cursor %zu vs "
-        "%zu)",
-        s, rebuilt->next_tick, live.next_tick, rebuilt->next_arrival, live.next_arrival));
-  }
-  for (size_t i = 0; i < rebuilt->next_arrival; ++i) {
-    core::FlexOfferId rebuilt_id = rebuilt->report.offers[rebuilt->arrival[i]].id;
-    core::FlexOfferId live_id = live.report.offers[live.arrival[i]].id;
-    if (rebuilt_id != live_id) {
-      return FailedPreconditionError(StrFormat(
-          "migration would reorder shard %d's consumed arrivals (position %zu: offer %lld "
-          "vs %lld)",
-          s, i, static_cast<long long>(rebuilt_id), static_cast<long long>(live_id)));
-    }
-  }
-  if (rebuilt->report.outbox != live.report.outbox ||
-      rebuilt->report.offers_received != live.report.offers_received ||
-      rebuilt->report.accepted != live.report.accepted ||
-      rebuilt->report.rejected != live.report.rejected ||
-      rebuilt->report.assigned != live.report.assigned) {
-    return InternalError(
-        StrFormat("shard %d replay diverged from its live state during migration", s));
-  }
-  *out = *std::move(rebuilt);
-  return OkStatus();
-}
-
-Status Coordinator::CommitMigration(core::ProsumerId prosumer, int from, int to,
-                                    int64_t new_epoch) {
-  FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
-  // max, not assignment: a resume pre-seeds epoch_ with the manifest's
-  // base_epoch, and a replayed migration below it must not regress the epoch.
-  epoch_ = std::max(epoch_, new_epoch);
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(from, router_, &source_state));
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(to, router_, &target_state));
-  shards_[static_cast<size_t>(from)]->state = std::move(source_state);
-  shards_[static_cast<size_t>(to)]->state = std::move(target_state);
   return OkStatus();
 }
 
@@ -638,7 +572,7 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
                                           static_cast<long long>(prosumer), to_shard));
   }
 
-  // The precondition is validated BEFORE any offer payload is assembled:
+  // The preconditions are validated BEFORE anything is spliced or journaled:
   // under kIdleOnly an active prosumer cannot move, and the error names
   // every already-ingested offer so the operator sees the whole conflict,
   // not just the first.
@@ -654,65 +588,40 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
         "requires an idle prosumer",
         static_cast<long long>(prosumer), from, ids.c_str()));
   }
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
-  }
-
-  // Speculative verification of both shards BEFORE anything becomes durable:
-  // a failed verification leaves the run (and journals) untouched. Idle
-  // migrations rebuild both shards by replaying every applied record; active
-  // migrations splice the moved state across collapsed folds.
-  ShardRouter new_router = router_;
-  FLEXVIS_RETURN_IF_ERROR(new_router.Assign(prosumer, to_shard));
-  const int64_t new_epoch = epoch_ + 1;
-  const bool active = !moved.idle();
   Shard& source = *shards_[static_cast<size_t>(from)];
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
+  if (source.state.next_tick != target.state.next_tick) {
+    return FailedPreconditionError(
+        StrFormat("shards %d and %d are not at a common tick boundary (%d vs %d)", from,
+                  to_shard, source.state.next_tick, target.state.next_tick));
+  }
+
+  // Speculative splice of both shards BEFORE anything becomes durable: a
+  // failed verification leaves the run (and journals) untouched.
+  ShardRouter new_router = router_;
+  FLEXVIS_RETURN_IF_ERROR(new_router.Assign(prosumer, to_shard));
   OnlineTickRecord source_fold;
   OnlineTickRecord target_fold;
-  if (active) {
-    if (source.state.next_tick != target.state.next_tick) {
-      return FailedPreconditionError(
-          StrFormat("shards %d and %d are not at a common tick boundary (%d vs %d)", from,
-                    to_shard, source.state.next_tick, target.state.next_tick));
-    }
-    source_fold = SpliceOutFold(source.enterprise, source.state, moved);
-    target_fold = SpliceInFold(target.enterprise, target.state, moved);
-    std::vector<core::FlexOfferId> source_expect;
-    for (size_t pos = 0; pos < source.state.next_arrival; ++pos) {
-      const FlexOffer& offer = source.state.report.offers[source.state.arrival[pos]];
-      if (offer.prosumer != prosumer) source_expect.push_back(offer.id);
-    }
-    std::vector<core::FlexOfferId> target_expect;
-    for (size_t pos = 0; pos < target.state.next_arrival; ++pos) {
-      target_expect.push_back(target.state.report.offers[target.state.arrival[pos]].id);
-    }
-    for (core::FlexOfferId id : moved.consumed) target_expect.push_back(id);
-    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(source.enterprise,
-                                              SubsetFor(new_router, offers_, from),
-                                              source_fold, source_expect, &source_state));
-    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(target.enterprise,
-                                              SubsetFor(new_router, offers_, to_shard),
-                                              target_fold, target_expect, &target_state));
-  } else {
-    FLEXVIS_RETURN_IF_ERROR(RebuildShard(from, new_router, &source_state));
-    FLEXVIS_RETURN_IF_ERROR(RebuildShard(to_shard, new_router, &target_state));
-  }
+  OnlineLoopState source_state;
+  OnlineLoopState target_state;
+  FLEXVIS_RETURN_IF_ERROR(SpliceShard(from, new_router, moved, /*incoming=*/false,
+                                      &source_fold, &source_state));
+  FLEXVIS_RETURN_IF_ERROR(SpliceShard(to_shard, new_router, moved, /*incoming=*/true,
+                                      &target_fold, &target_state));
 
   // Durability order: migrate_out (source journal) -> migrate_in with the
   // offer payload (target journal) -> manifest rewrite. Recovery completes a
-  // lone migrate_out; a migrate_in cannot exist without its migrate_out.
+  // lone migrate_out; a migrate_in cannot exist without its migrate_out. An
+  // idle move journals no moved-state fields (the pre-rebalance format).
+  const int64_t new_epoch = epoch_ + 1;
   if (checkpointed_) {
     MigrationRecord out;
-    out.is_in = false;
     out.prosumer = prosumer;
     out.from = from;
     out.to = to_shard;
     out.epoch = new_epoch;
-    out.active = active;
-    if (active) {
+    out.active = !moved.idle();
+    if (out.active) {
       out.moved = moved;
       out.moved.offers.clear();  // the offer payload rides on the migrate_in
     }
@@ -727,17 +636,8 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
 
   router_ = std::move(new_router);
   epoch_ = new_epoch;
-  source.state = std::move(source_state);
-  target.state = std::move(target_state);
-  if (active) {
-    // Both shards are now re-based onto their spliced folds; the fold
-    // replaces the applied history so later rebuilds and compactions replay
-    // it exactly as a compacted generation's state.json would.
-    source.applied.clear();
-    source.applied.push_back(std::move(source_fold));
-    target.applied.clear();
-    target.applied.push_back(std::move(target_fold));
-  }
+  Rebase(from, std::move(source_fold), std::move(source_state));
+  Rebase(to_shard, std::move(target_fold), std::move(target_state));
   if (checkpointed_) FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
   return OkStatus();
 }
@@ -745,6 +645,9 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
 MigratedState Coordinator::ExtractMovedState(int s, core::ProsumerId prosumer) const {
   const OnlineLoopState& state = shards_[static_cast<size_t>(s)]->state;
   MigratedState moved;
+  for (const FlexOffer& offer : offers_) {
+    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
+  }
   for (size_t pos = 0; pos < state.next_arrival; ++pos) {
     const FlexOffer& offer = state.report.offers[state.arrival[pos]];
     if (offer.prosumer == prosumer) moved.consumed.push_back(offer.id);
@@ -802,90 +705,82 @@ Status Coordinator::BuildSplicedState(const OnlineEnterprise& enterprise,
   return OkStatus();
 }
 
-Status Coordinator::CommitActiveMigration(core::ProsumerId prosumer, int from, int to,
-                                          int64_t new_epoch) {
-  // Re-extract the moved state from the replayed source (byte-identical to
-  // what the live migration extracted — replay determinism) and re-run the
-  // same splice the live commit ran.
-  MigratedState moved = ExtractMovedState(from, prosumer);
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
+Status Coordinator::SpliceShard(int s, const ShardRouter& router, const MigratedState& moved,
+                                bool incoming, OnlineTickRecord* fold,
+                                OnlineLoopState* state) const {
+  const Shard& shard = *shards_[static_cast<size_t>(s)];
+  const OnlineLoopState& live = shard.state;
+  // The history fold: applied onto a fresh Begin state it reproduces the live
+  // state byte for byte, residual commits in their original order (before
+  // the first tick it is empty, covering ticks 0..-1).
+  OnlineTickRecord history;
+  history.folded = true;
+  history.tick = live.next_tick - 1;
+  history.shed_policy = static_cast<int>(shard.params.shed_policy);
+  for (const OnlineTickRecord& record : shard.applied) FoldTickRecordInto(&history, record);
+  const std::set<core::FlexOfferId> moved_consumed(moved.consumed.begin(),
+                                                   moved.consumed.end());
+  std::vector<core::FlexOfferId> expect;
+  for (size_t pos = 0; pos < live.next_arrival; ++pos) {
+    const core::FlexOfferId id = live.report.offers[live.arrival[pos]].id;
+    if (moved_consumed.count(id) == 0) expect.push_back(id);
   }
-  Shard& source = *shards_[static_cast<size_t>(from)];
-  Shard& target = *shards_[static_cast<size_t>(to)];
-  if (source.state.next_tick != target.state.next_tick) {
+  if (incoming) {
+    SpliceIn(&history, moved);
+    expect.insert(expect.end(), moved.consumed.begin(), moved.consumed.end());
+  } else {
+    SpliceOut(&history, moved);
+  }
+  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(shard.enterprise, SubsetFor(router, offers_, s),
+                                            history, expect, state));
+  // Cumulative history never moves: counters and the outbox stay with the
+  // shard that produced them, so a splice that changes them has diverged.
+  const OnlineReport& a = state->report;
+  const OnlineReport& b = live.report;
+  if (a.outbox != b.outbox || a.offers_received != b.offers_received ||
+      a.accepted != b.accepted || a.rejected != b.rejected || a.assigned != b.assigned) {
+    return InternalError(
+        StrFormat("shard %d splice diverged from its live counters and outbox", s));
+  }
+  *fold = std::move(history);
+  return OkStatus();
+}
+
+void Coordinator::Rebase(int s, OnlineTickRecord fold, OnlineLoopState state) {
+  Shard& shard = *shards_[static_cast<size_t>(s)];
+  shard.state = std::move(state);
+  shard.applied.clear();
+  shard.applied.push_back(std::move(fold));
+}
+
+Status Coordinator::ReplayMigration(const MigrationRecord& record, bool splice_source,
+                                    bool splice_target) {
+  const int from_tick = shards_[static_cast<size_t>(record.from)]->state.next_tick;
+  const int to_tick = shards_[static_cast<size_t>(record.to)]->state.next_tick;
+  if (splice_source && splice_target && from_tick != to_tick) {
     return DataLossError(
-        StrFormat("active migration of prosumer %lld surfaced with shards %d and %d at "
-                  "different ticks (%d vs %d)",
-                  static_cast<long long>(prosumer), from, to, source.state.next_tick,
-                  target.state.next_tick));
+        StrFormat("migration of prosumer %lld surfaced with shards %d and %d at different "
+                  "ticks (%d vs %d)",
+                  static_cast<long long>(record.prosumer), record.from, record.to, from_tick,
+                  to_tick));
   }
-  FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
-  epoch_ = std::max(epoch_, new_epoch);
-  OnlineTickRecord source_fold = SpliceOutFold(source.enterprise, source.state, moved);
-  OnlineTickRecord target_fold = SpliceInFold(target.enterprise, target.state, moved);
-  std::vector<core::FlexOfferId> source_expect;
-  for (size_t pos = 0; pos < source.state.next_arrival; ++pos) {
-    const FlexOffer& offer = source.state.report.offers[source.state.arrival[pos]];
-    if (offer.prosumer != prosumer) source_expect.push_back(offer.id);
-  }
-  std::vector<core::FlexOfferId> target_expect;
-  for (size_t pos = 0; pos < target.state.next_arrival; ++pos) {
-    target_expect.push_back(target.state.report.offers[target.state.arrival[pos]].id);
-  }
-  for (core::FlexOfferId id : moved.consumed) target_expect.push_back(id);
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(source.enterprise, SubsetFor(router_, offers_, from),
-                                            source_fold, source_expect, &source_state));
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(target.enterprise, SubsetFor(router_, offers_, to),
-                                            target_fold, target_expect, &target_state));
-  source.state = std::move(source_state);
-  target.state = std::move(target_state);
-  source.applied.clear();
-  source.applied.push_back(std::move(source_fold));
-  target.applied.clear();
-  target.applied.push_back(std::move(target_fold));
-  return OkStatus();
-}
-
-Status Coordinator::ActiveRebakeTarget(int s, const MigratedState& moved, int64_t epoch) {
-  Shard& shard = *shards_[static_cast<size_t>(s)];
-  OnlineTickRecord fold = SpliceInFold(shard.enterprise, shard.state, moved);
-  std::vector<core::FlexOfferId> expect;
-  for (size_t pos = 0; pos < shard.state.next_arrival; ++pos) {
-    expect.push_back(shard.state.report.offers[shard.state.arrival[pos]].id);
-  }
-  for (core::FlexOfferId id : moved.consumed) expect.push_back(id);
-  OnlineLoopState spliced;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(shard.enterprise, SubsetFor(router_, offers_, s),
-                                            fold, expect, &spliced));
-  shard.state = std::move(spliced);
-  shard.applied.clear();
-  shard.applied.push_back(std::move(fold));
-  epoch_ = std::max(epoch_, epoch);
-  return OkStatus();
-}
-
-Status Coordinator::ActiveRebakeSource(int s, core::ProsumerId prosumer, int64_t epoch) {
-  Shard& shard = *shards_[static_cast<size_t>(s)];
-  MigratedState moved = ExtractMovedState(s, prosumer);
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
-  }
-  OnlineTickRecord fold = SpliceOutFold(shard.enterprise, shard.state, moved);
-  std::vector<core::FlexOfferId> expect;
-  for (size_t pos = 0; pos < shard.state.next_arrival; ++pos) {
-    const FlexOffer& offer = shard.state.report.offers[shard.state.arrival[pos]];
-    if (offer.prosumer != prosumer) expect.push_back(offer.id);
-  }
-  OnlineLoopState spliced;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(shard.enterprise, SubsetFor(router_, offers_, s),
-                                            fold, expect, &spliced));
-  shard.state = std::move(spliced);
-  shard.applied.clear();
-  shard.applied.push_back(std::move(fold));
-  epoch_ = std::max(epoch_, epoch);
+  // Re-extracted from the replayed source, the moved state is byte-identical
+  // to what the live migration extracted (replay determinism).
+  const MigratedState moved = splice_source ? ExtractMovedState(record.from, record.prosumer)
+                                            : MovedFromRecord(record, offers_);
+  FLEXVIS_RETURN_IF_ERROR(router_.Assign(record.prosumer, record.to));
+  // max, not assignment: a resume pre-seeds epoch_ with the manifest's
+  // base_epoch, and a replayed migration below it must not regress the epoch.
+  epoch_ = std::max(epoch_, record.epoch);
+  const auto splice = [&](int s, bool incoming) -> Status {
+    OnlineTickRecord fold;
+    OnlineLoopState state;
+    FLEXVIS_RETURN_IF_ERROR(SpliceShard(s, router_, moved, incoming, &fold, &state));
+    Rebase(s, std::move(fold), std::move(state));
+    return OkStatus();
+  };
+  if (splice_source) FLEXVIS_RETURN_IF_ERROR(splice(record.from, /*incoming=*/false));
+  if (splice_target) FLEXVIS_RETURN_IF_ERROR(splice(record.to, /*incoming=*/true));
   return OkStatus();
 }
 
@@ -1392,6 +1287,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     bool has_out = false;
     bool has_in = false;
     core::ProsumerId prosumer = core::kInvalidProsumerId;
+    int from = 0;
   };
   std::map<int64_t, MigrationSides> inventory;
   std::vector<std::deque<ReplayedRecord>> queues(static_cast<size_t>(n));
@@ -1402,9 +1298,18 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       Result<ReplayedRecord> record = ParseJournalRecord(payload);
       if (!record.ok()) return record.status();
       if (record->is_migration) {
-        MigrationSides& sides = inventory[record->migration.epoch];
-        (record->migration.is_in ? sides.has_in : sides.has_out) = true;
-        sides.prosumer = record->migration.prosumer;
+        const MigrationRecord& migration = record->migration;
+        if (migration.from < 0 || migration.from >= n || migration.to < 0 ||
+            migration.to >= n || migration.from == migration.to) {
+          return DataLossError(StrFormat(
+              "migration record for prosumer %lld names shards %d -> %d outside the "
+              "%d-shard fleet",
+              static_cast<long long>(migration.prosumer), migration.from, migration.to, n));
+        }
+        MigrationSides& sides = inventory[migration.epoch];
+        (migration.is_in ? sides.has_in : sides.has_out) = true;
+        sides.prosumer = migration.prosumer;
+        sides.from = migration.from;
       }
       queues[si].push_back(*std::move(record));
     }
@@ -1503,23 +1408,31 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     return DataLossError("shard snapshots hold offers missing from offer_order");
   }
 
-  // Seed the router with every override the manifest committed. Safe even
-  // for overrides whose journal records will replay again below: migration
-  // requires an idle prosumer, so the pre-boundary arrival prefix of every
-  // shard is identical under the pre- and post-migration partitions, and
-  // CommitMigration's Assign is then idempotent. The epoch starts at
-  // base_epoch — migrations at or below it are baked into (some) snapshots
-  // and may have no journal records left to replay.
+  // Seed the router as of base_epoch, the point the replay starts from: the
+  // manifest's overrides, except that a prosumer with migration records
+  // still in some journal starts on the `from` shard of its lowest-epoch
+  // record — replay re-assigns it move by move. Seeding its final shard
+  // instead would splice an early migration against a partition that
+  // already reflects a later one (a mover's offers missing from the shard
+  // whose history still holds them). The epoch starts at base_epoch too —
+  // migrations at or below it are baked into (some) snapshots and may have
+  // no journal records left to replay.
   for (const auto& [prosumer, shard] : manifest_overrides) {
     FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(prosumer, shard));
+  }
+  std::set<core::ProsumerId> seeded;
+  for (const auto& [epoch, sides] : inventory) {
+    if (seeded.insert(sides.prosumer).second) {
+      FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(sides.prosumer, sides.from));
+    }
   }
   coordinator.epoch_ = base_epoch;
   coordinator.base_epoch_ = base_epoch;
 
   // Rebuild each shard from its snapshot subset, then fast-forward through
   // the folded state.json of a compacted generation (no decision logic
-  // re-runs; the folded record is kept as applied[0] so migration rebuilds
-  // can replay it).
+  // re-runs; the folded record is kept as applied[0] so migration splices and
+  // compactions fold it).
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
     auto shard = std::make_unique<Shard>();
@@ -1556,10 +1469,11 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // different ticks, so migration records do not surface in the same round;
   // a shard that has surfaced a migration record STALLS (applies no further
   // ticks) until the record resolves:
-  //   - paired with its counterpart from the other shard's queue -> commit;
+  //   - paired with its counterpart from the other shard's queue -> splice
+  //     both shards;
   //   - counterpart compacted away (epoch at or below base_epoch) -> the
-  //     other shard's snapshot already carries the migration; rebase only
-  //     the surfacing shard against the manifest-seeded router;
+  //     other shard's snapshot already carries the migration; splice only
+  //     the surfacing shard;
   //   - lone migrate_out above base_epoch whose target queue is exhausted ->
   //     the crash hit between the two flushes; complete the migration by
   //     synthesizing and journaling the migrate_in, then commit.
@@ -1612,26 +1526,15 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
                                 });
       if (match != pending_out.end()) {
         pending_out.erase(match);
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.CommitActiveMigration(
-              record.prosumer, record.from, record.to, record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.CommitMigration(
-              record.prosumer, record.from, record.to, record.epoch));
-        }
+        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, true, true));
         if (info != nullptr) ++info->migrations_replayed;
         it = pending_in.erase(it);
         progressed = true;
       } else if (!inventory[record.epoch].has_out) {
         // The migrate_out was compacted away with the source's old WAL
         // (epoch <= base_epoch, verified above): the source snapshot already
-        // excludes the prosumer; rebase only this target shard.
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.ActiveRebakeTarget(
-              it->shard, MovedFromRecord(record, coordinator.offers_), record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.RebakeShard(it->shard, record.epoch));
-        }
+        // excludes the prosumer; splice only this target shard.
+        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, false, true));
         if (info != nullptr) ++info->migrations_replayed;
         it = pending_in.erase(it);
         progressed = true;
@@ -1647,13 +1550,8 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       }
       if (record.epoch <= base_epoch) {
         // The migrate_in was compacted away with the target's old WAL: the
-        // target snapshot already includes the prosumer; rebase the source.
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(
-              coordinator.ActiveRebakeSource(it->shard, record.prosumer, record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.RebakeShard(it->shard, record.epoch));
-        }
+        // target snapshot already includes the prosumer; splice the source.
+        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, true, false));
         if (info != nullptr) ++info->migrations_replayed;
         it = pending_out.erase(it);
         progressed = true;
@@ -1673,13 +1571,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       Shard& target = *coordinator.shards_[static_cast<size_t>(in.to)];
       FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
       FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
-      if (in.active) {
-        FLEXVIS_RETURN_IF_ERROR(
-            coordinator.CommitActiveMigration(in.prosumer, in.from, in.to, in.epoch));
-      } else {
-        FLEXVIS_RETURN_IF_ERROR(
-            coordinator.CommitMigration(in.prosumer, in.from, in.to, in.epoch));
-      }
+      FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(in, true, true));
       if (info != nullptr) ++info->migrations_repaired;
       it = pending_out.erase(it);
       progressed = true;

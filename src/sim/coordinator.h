@@ -33,7 +33,9 @@ namespace flexvis::sim {
 /// A 1-shard run is byte-identical to the unsharded OnlineEnterprise::Run:
 /// the hash partition routes everything to shard 0 in input order, energy
 /// scaling divides by 1.0 (exact), and the merge maps shard-local offers
-/// back through the identity permutation.
+/// back through the identity permutation. RunShardedCheckpointed /
+/// ResumeSharded are therefore the checkpointed online loop at any shard
+/// count, one included.
 
 /// Layout of a sharded checkpoint directory:
 ///
@@ -43,7 +45,7 @@ namespace flexvis::sim {
 ///                         global offer order) — written atomically, last at
 ///                         Begin (the run's commit point) and again after
 ///                         every committed migration and at every compaction
-///   shard-0000/           a full single-enterprise checkpoint store
+///   shard-0000/           one sim/checkpoint store per shard
 ///   shard-0001/ ...       (meta.json, offers.jsonl, state.json for compacted
 ///                         generations, SNAPSHOT.json, journal.wal)
 ///
@@ -86,20 +88,21 @@ struct CoordinatorParams {
   std::optional<RebalanceParams> rebalance;
 };
 
-/// What MigrateProsumer may move. kIdleOnly is the PR-4 contract: the
-/// prosumer must have no ingested offers (FailedPrecondition otherwise).
-/// kAllowActive lifts that: mid-flight state (ingested-arrival positions,
-/// pending-queue entries, decided offer states with schedules) travels
-/// inside the migrate_out/migrate_in records, and both shards are re-based
-/// onto spliced folded records with the consumed-history splice verified.
+/// What MigrateProsumer may move. Both modes commit through the same splice;
+/// the mode is only a precondition. kIdleOnly refuses a prosumer with any
+/// ingested offer (FailedPrecondition naming every one of them); kAllowActive
+/// also moves mid-flight state (ingested-arrival positions, pending-queue
+/// entries, decided offer states with schedules), which travels inside the
+/// migrate_out/migrate_in records.
 enum class MigrationMode {
   kIdleOnly = 0,
   kAllowActive,
 };
 
-/// A prosumer's mid-flight state, the payload an *active* migration moves
-/// between shards (journaled inside the migrate_out/migrate_in records and
-/// spliced into both shards' folded records at commit).
+/// A prosumer's mid-flight state, the payload a migration moves between
+/// shards (journaled inside the migrate_out/migrate_in records and spliced
+/// into both shards' folded records at commit). Empty apart from `offers`
+/// for an idle prosumer.
 struct MigratedState {
   /// The prosumer's offers, verbatim input copies in global input order
   /// (migrate_in records carry them so the record is self-contained).
@@ -115,9 +118,13 @@ struct MigratedState {
   std::vector<OnlineStateChange> states;
 
   /// An idle prosumer: nothing consumed (and therefore nothing pending or
-  /// decided) — eligible for the PR-4 idle migration path.
+  /// decided) — the only kind kIdleOnly moves.
   bool idle() const { return consumed.empty(); }
 };
+
+/// One side of a journaled migration (migrate_out or migrate_in); the codec
+/// lives in coordinator.cc.
+struct MigrationRecord;
 
 /// The coordinator's merged view of one sharded run.
 struct MergedOnlineReport {
@@ -201,22 +208,17 @@ class Coordinator {
   /// then the records are journaled serially in shard order.
   Status Tick();
 
-  /// Moves `prosumer` to `to_shard`, replay-verified. Under kIdleOnly the
-  /// prosumer must be idle in its current shard (none of its offers ingested
-  /// yet — FailedPrecondition naming *every* already-ingested offer id
-  /// otherwise); its offers are exported as a journaled migrate_out record,
-  /// imported into the target via a migrate_in record carrying the full
-  /// offer payload, and both shards are rebuilt from their new offer subsets
-  /// by replaying every applied tick record; the rebuilt states are diffed
-  /// against the pre-migration counters/outbox (Internal on any mismatch).
-  /// Under kAllowActive an active prosumer moves too: the records
-  /// additionally carry its consumed-arrival positions, pending-queue
-  /// entries, and decided states, and both shards are re-based onto spliced
-  /// folded records (FailedPrecondition when inter-shard ingest backlog skew
-  /// would reorder the target's consumed history). Commits the new
-  /// assignment epoch to COORDINATOR.json when checkpointed. NotFound when
-  /// the prosumer owns no offers; InvalidArgument when already on
-  /// `to_shard`.
+  /// Moves `prosumer` to `to_shard` at the current tick boundary. Its
+  /// mid-flight state is spliced out of the source shard's history fold and
+  /// into the target's, and both shards are rebuilt from their new offer
+  /// subsets with the consumed-arrival prefix verified (FailedPrecondition
+  /// when the shards are not at a common tick, or when the new membership
+  /// would reorder a shard's consumed history). Under kIdleOnly the prosumer
+  /// must be idle (FailedPrecondition naming *every* already-ingested offer
+  /// id otherwise). Durable order when checkpointed: migrate_out (source
+  /// journal), migrate_in carrying the offer payload (target journal), then
+  /// the new assignment epoch in COORDINATOR.json. NotFound when the prosumer
+  /// owns no offers; InvalidArgument when already on `to_shard`.
   Status MigrateProsumer(core::ProsumerId prosumer, int to_shard,
                          MigrationMode mode = MigrationMode::kIdleOnly);
 
@@ -276,26 +278,12 @@ class Coordinator {
   /// restricts the fold to the flagged shards — the resume path's catch-up
   /// for a compaction the crash interrupted partway through the shard list.
   Status CompactShards(const std::vector<bool>* include = nullptr);
-  /// Resume-only: re-verifies shard `s` against the manifest-seeded router by
-  /// rebuild + replay-diff, swapping in the rebuilt state. Used for a
-  /// migration record whose counterpart was compacted away (epoch at or
-  /// below base_epoch): the other shard's snapshot already reflects the
-  /// migration, so only the surfacing shard needs its state rebased.
-  Status RebakeShard(int s, int64_t epoch);
-  /// Rebuilds shard `s`'s loop state from the offer subset `router` assigns
-  /// it, replaying every applied tick record, and replay-diffs the result
-  /// against the live state (arrival prefix, counters, outbox) — the
-  /// migration verification step. Writes the rebuilt state to `out`.
-  Status RebuildShard(int s, const ShardRouter& router, OnlineLoopState* out) const;
-  /// Commits a migration whose journal records are already durable: applies
-  /// the override, bumps the epoch, and swaps in the rebuilt states.
-  Status CommitMigration(core::ProsumerId prosumer, int from, int to, int64_t new_epoch);
   std::vector<std::vector<size_t>> CurrentPartition() const;
 
-  // ---- Active migration / splice (rebalance tentpole) ----------------------
+  // ---- Migration splice ------------------------------------------------------
 
   /// Everything of `prosumer`'s mid-flight state on shard `s`, extracted
-  /// from the live loop state.
+  /// from the live loop state, plus its offers from the global input list.
   MigratedState ExtractMovedState(int s, core::ProsumerId prosumer) const;
   /// Begin(subset) + Apply(fold), then verifies the consumed-arrival prefix
   /// is exactly `expect_consumed` as a set (FailedPrecondition otherwise —
@@ -307,16 +295,25 @@ class Coordinator {
                            const OnlineTickRecord& fold,
                            const std::vector<core::FlexOfferId>& expect_consumed,
                            OnlineLoopState* out) const;
-  /// Commits an active migration whose records are already durable: splices
-  /// the moved state out of `from` and into `to`, re-bases both shards onto
-  /// the spliced folds, applies the override, and bumps the epoch.
-  Status CommitActiveMigration(core::ProsumerId prosumer, int from, int to, int64_t new_epoch);
-  /// Resume-only one-sided rebases for an active migration whose counterpart
-  /// record was compacted away: only the surfacing shard is re-based, using
-  /// the record's moved-state fields (the other shard's snapshot already
-  /// reflects the migration).
-  Status ActiveRebakeTarget(int s, const MigratedState& moved, int64_t epoch);
-  Status ActiveRebakeSource(int s, core::ProsumerId prosumer, int64_t epoch);
+  /// The one migration splice: shard `s`'s history fold with `moved` taken
+  /// out (`incoming` false) or grafted in (`incoming` true), rebuilt over the
+  /// subset `router` assigns it and verified by BuildSplicedState. An empty
+  /// moved state leaves the fold unchanged, so an idle move rebuilds the
+  /// shard exactly as replaying its history would. Writes the spliced fold
+  /// and state; nothing is swapped in.
+  Status SpliceShard(int s, const ShardRouter& router, const MigratedState& moved,
+                     bool incoming, OnlineTickRecord* fold, OnlineLoopState* state) const;
+  /// Swaps a spliced state into shard `s`; its fold becomes the shard's whole
+  /// applied history, as a compacted generation's state.json would.
+  void Rebase(int s, OnlineTickRecord fold, OnlineLoopState state);
+  /// Resume-only: re-commits a journaled migration — assigns the override,
+  /// raises the epoch, and splices the sides named. A side is left alone
+  /// when its record was compacted away (epoch at or below base_epoch): its
+  /// snapshot already reflects the migration. The moved state is
+  /// re-extracted from the replayed source when the source is spliced, and
+  /// taken from the record otherwise.
+  Status ReplayMigration(const MigrationRecord& record, bool splice_source,
+                         bool splice_target);
 
   // ---- Rebalance controller wiring -----------------------------------------
 

@@ -66,25 +66,15 @@ struct OnlineParams {
   /// reports. Read from $FLEXVIS_COMPACT_TICKS by CompactTicksFromEnv.
   int compact_ticks = 0;
 
-  /// Size trigger on the same fold: also compact as soon as the journal's
-  /// record payload since the last fold reaches this many bytes
-  /// (Σ EncodeTickRecord sizes, a deterministic function of the decisions).
-  /// 0 = off. Composes with compact_ticks — whichever trigger fires first
-  /// folds, and both reset. Like the tick cadence it never changes a
-  /// planning decision. Read from $FLEXVIS_COMPACT_BYTES by
-  /// CompactBytesFromEnv. The sharded coordinator compacts only on the
-  /// global tick cadence and ignores this knob.
-  int64_t compact_bytes = 0;
-
   // ---- Strategy identity (sim/forecaster, sim/market) ---------------------
 
   /// Named strategies the run's *planning context* is pinned to: the
   /// ForecasterRegistry / BiddingRegistry names a scenario (sim/scenario)
   /// settles its horizon with. The online tick loop itself neither
   /// forecasts nor trades, but the names are serialized into checkpoint
-  /// meta.json (and surfaced in COORDINATOR.json) so ResumeOnline /
-  /// ResumeSharded replay under the exact strategies the run was cut with —
-  /// a resume can never silently settle under a different strategy. Empty =
+  /// meta.json (and surfaced in COORDINATOR.json) so ResumeSharded replays
+  /// under the exact strategies the run was cut with — a resume can never
+  /// silently settle under a different strategy. Empty =
   /// the defaults (holt-winters / spot-residual). Validated against the
   /// registries at decode time: an unknown pinned name is a typed
   /// kInvalidArgument naming the registered options.
@@ -259,15 +249,6 @@ class OnlineEnterprise {
   /// of order or name unknown offers (kDataLoss — the journal does not match
   /// the snapshot).
   Status Apply(OnlineLoopState& state, const OnlineTickRecord& record) const;
-
-  /// Collapses a mid-run state into one synthetic *folded* record covering
-  /// ticks 0..next_tick-1: applying the result onto a fresh Begin() state of
-  /// the same offer subset reproduces `state`, with the residual rebuilt
-  /// canonically (assignment commits replayed in subset order rather than
-  /// original decision order). The shard coordinator splices these folds to
-  /// re-home live state across active-prosumer migrations and split/merge
-  /// resizes. Precondition: next_tick > 0 (a fresh state has nothing to fold).
-  OnlineTickRecord Snapshot(const OnlineLoopState& state) const;
 
   /// Finalizes the report (imbalance over the window).
   OnlineReport Finish(OnlineLoopState state) const;

@@ -422,22 +422,50 @@ class RebalanceTest : public ::testing::Test {
     return ids;
   }
 
-  /// One run that migrates an ACTIVE prosumer mid-flight (checkpointed when
-  /// `dir` is non-empty): the journal shape the kill matrix exercises.
-  Result<sim::MergedOnlineReport> RunActiveMigrating(const std::string& dir, int shards,
-                                                     core::ProsumerId prosumer,
-                                                     int to_shard, int after_ticks) {
+  /// Prosumers the 2-shard hash router places on `shard`, in id order, that
+  /// are active (some offer consumed) after `ticks` global ticks when
+  /// `active`, or still idle (nothing consumed) when not.
+  std::vector<core::ProsumerId> ProsumersOn(int shard, int ticks, bool active) const {
+    sim::ShardRouter router(2, sim::ShardPolicy::kHash);
+    std::set<core::ProsumerId> all;
+    for (const core::FlexOffer& offer : workload_.offers) all.insert(offer.prosumer);
+    std::vector<core::ProsumerId> picked;
+    for (core::ProsumerId p : all) {
+      if (router.ShardOfProsumer(p, core::kInvalidRegionId, core::kInvalidGridNodeId) !=
+          shard) {
+        continue;
+      }
+      if (IngestedOffersOf(p, ticks).empty() != active) picked.push_back(p);
+    }
+    return picked;
+  }
+
+  /// One scripted migration: after `after_ticks` global ticks (counted from
+  /// Begin), move `prosumer` to `to_shard` under kAllowActive.
+  struct Move {
+    int after_ticks = 0;
+    core::ProsumerId prosumer = core::kInvalidProsumerId;
+    int to_shard = 0;
+  };
+
+  /// One run executing `moves` in order (checkpointed when `dir` is
+  /// non-empty).
+  Result<sim::MergedOnlineReport> RunMoves(const std::string& dir, int shards,
+                                           const std::vector<Move>& moves) {
     sim::Coordinator coordinator(Params(shards));
     if (dir.empty()) {
       FLEXVIS_RETURN_IF_ERROR(coordinator.Begin(workload_.offers, window_));
     } else {
       FLEXVIS_RETURN_IF_ERROR(coordinator.BeginCheckpointed(workload_.offers, window_, dir));
     }
-    for (int i = 0; i < after_ticks && !coordinator.Done(); ++i) {
-      FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
+    int ticks = 0;
+    for (const Move& move : moves) {
+      for (; ticks < move.after_ticks && !coordinator.Done(); ++ticks) {
+        FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
+      }
+      FLEXVIS_RETURN_IF_ERROR(coordinator.MigrateProsumer(
+          move.prosumer, move.to_shard, sim::MigrationMode::kAllowActive));
     }
-    FLEXVIS_RETURN_IF_ERROR(coordinator.MigrateProsumer(prosumer, to_shard,
-                                                        sim::MigrationMode::kAllowActive));
     while (!coordinator.Done()) FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
     return coordinator.Finish();
   }
@@ -500,8 +528,7 @@ TEST_F(RebalanceTest, ActiveMigrationMovesAMidFlightProsumerAndConserves) {
   int from = router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
                                     core::kInvalidGridNodeId);
 
-  Result<sim::MergedOnlineReport> merged =
-      RunActiveMigrating("", 2, prosumer, 1 - from, kTicks);
+  Result<sim::MergedOnlineReport> merged = RunMoves("", 2, {{kTicks, prosumer, 1 - from}});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged->epoch, 1);
   ExpectConserved(*merged, workload_.offers, "active migration");
@@ -532,23 +559,59 @@ TEST_F(RebalanceTest, ActiveMigrationMovesAMidFlightProsumerAndConserves) {
 }
 
 TEST_F(RebalanceTest, ActiveMigrationCheckpointedResumeIsByteIdentical) {
-  const int kTicks = 6;
+  // Every sequence must resume to the uninterrupted run. The multi-move ones
+  // pin the router seeding: replay must start from the assignment as of
+  // base_epoch, not from the manifest's final overrides, or the first replayed
+  // splice builds a shard subset that already lacks a later mover's offers.
   core::ProsumerId prosumer = EarliestProsumer();
   sim::ShardRouter router(2, sim::ShardPolicy::kHash);
-  int from = router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
-                                    core::kInvalidGridNodeId);
-  std::string dir = Dir("active_resume");
-  Result<sim::MergedOnlineReport> baseline =
-      RunActiveMigrating(dir, 2, prosumer, 1 - from, kTicks);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  EXPECT_EQ(baseline->epoch, 1);
+  const int from = router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
+                                          core::kInvalidGridNodeId);
+  const std::vector<core::ProsumerId> active_at_4 = ProsumersOn(0, 4, true);
+  const std::vector<core::ProsumerId> active_at_8 = ProsumersOn(0, 8, true);
+  const std::vector<core::ProsumerId> idle_at_2 = ProsumersOn(0, 2, false);
+  const std::vector<core::ProsumerId> active_at_6 = ProsumersOn(1, 6, true);
+  ASSERT_FALSE(active_at_4.empty());
+  ASSERT_FALSE(idle_at_2.empty());
+  ASSERT_FALSE(active_at_6.empty());
+  core::ProsumerId second = core::kInvalidProsumerId;
+  for (core::ProsumerId p : active_at_8) {
+    if (p != active_at_4.front()) {
+      second = p;
+      break;
+    }
+  }
+  ASSERT_NE(second, core::kInvalidProsumerId);
 
-  sim::ShardResumeInfo info;
-  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(info.migrations_replayed, 1);
-  EXPECT_EQ(info.migrations_repaired, 0);
-  ExpectMergedEqual(*baseline, *resumed, "active migration across resume");
+  struct Case {
+    const char* name;
+    std::vector<Move> moves;
+  };
+  const std::vector<Case> cases = {
+      {"one active move at tick 6", {{6, prosumer, 1 - from}}},
+      {"two active moves off shard 0 at ticks 4 and 8",
+       {{4, active_at_4.front(), 1}, {8, second, 1}}},
+      {"0->1 at tick 4, then another prosumer 1->0 at tick 8",
+       {{4, active_at_4.front(), 1}, {8, ProsumersOn(1, 8, true).front(), 0}}},
+      {"0->1 at tick 4, then the same prosumer back 1->0 at tick 8",
+       {{4, active_at_4.front(), 1}, {8, active_at_4.front(), 0}}},
+      {"idle move at tick 2, then an active move at tick 6",
+       {{2, idle_at_2.front(), 1}, {6, active_at_6.front(), 0}}},
+  };
+  for (const Case& c : cases) {
+    std::string dir = Dir("active_resume");
+    Result<sim::MergedOnlineReport> baseline = RunMoves(dir, 2, c.moves);
+    ASSERT_TRUE(baseline.ok()) << c.name << ": " << baseline.status().ToString();
+    EXPECT_EQ(baseline->epoch, static_cast<int64_t>(c.moves.size())) << c.name;
+
+    sim::ShardResumeInfo info;
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+    EXPECT_TRUE(resumed.ok()) << c.name << ": " << resumed.status().ToString();
+    if (!resumed.ok()) continue;  // report every case, not just the first
+    EXPECT_EQ(info.migrations_replayed, static_cast<int>(c.moves.size())) << c.name;
+    EXPECT_EQ(info.migrations_repaired, 0) << c.name;
+    ExpectMergedEqual(*baseline, *resumed, c.name);
+  }
 }
 
 TEST_F(RebalanceTest, ResizeRejectsBadArguments) {

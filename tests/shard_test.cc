@@ -26,6 +26,7 @@
 #include "sim/workload.h"
 #include "util/fault.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 
 namespace flexvis {
 namespace {
@@ -451,6 +452,49 @@ TEST_F(ShardTest, ResumeOfCompletedMigratedRunReplaysTheMigration) {
     EXPECT_FALSE(shard.torn_tail);
   }
   ExpectMergedEqual(*baseline, *resumed, "resume of completed migrated run");
+}
+
+TEST_F(ShardTest, ResumeRejectsAMigrationRecordNamingAShardOutsideTheFleet) {
+  const int kMigrateAfter = 3;
+  core::ProsumerId prosumer = FindIdleProsumer(kMigrateAfter);
+  ASSERT_NE(prosumer, core::kInvalidProsumerId);
+  sim::ShardRouter router(2, sim::ShardPolicy::kHash);
+  const int to = 1 - router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
+                                            core::kInvalidGridNodeId);
+  std::string dir = Dir("corrupt_migration");
+  ASSERT_TRUE(RunMigrating(dir, 2, prosumer, to, kMigrateAfter).ok());
+
+  // Rewrite the target journal with its migrate_in naming shard 7 — outside
+  // the 2-shard fleet — as the source. Recovery must refuse it as corrupt,
+  // never index a shard that does not exist.
+  const std::string shard_dir =
+      (fs::path(dir) / StrFormat("%s%04d", sim::kShardDirPrefix, to)).string();
+  Result<StoreRecovery> recovery =
+      DurableStore::Recover(shard_dir, sim::CheckpointStoreOptions());
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  StoreFiles files;
+  for (const std::string& name : recovery->file_order) {
+    files.emplace_back(name, recovery->files.at(name));
+  }
+  Result<DurableStore> store =
+      DurableStore::Create(shard_dir, sim::CheckpointStoreOptions(), files, recovery->meta);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  int rewritten = 0;
+  for (const std::string& text : recovery->records) {
+    Result<JsonValue> json = JsonValue::Parse(text);
+    ASSERT_TRUE(json.ok());
+    if (json->Has("kind")) {
+      json->Set("from", JsonValue::Int(7));
+      ++rewritten;
+    }
+    ASSERT_TRUE(store->Append(json->Dump()).ok());
+  }
+  ASSERT_TRUE(store->Close().ok());
+  ASSERT_EQ(rewritten, 1);
+
+  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss) << resumed.status().ToString();
 }
 
 // ---- Coordinator kill matrix ------------------------------------------------
