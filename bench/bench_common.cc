@@ -133,6 +133,8 @@ void BenchReport::SetCounter(const std::string& key, double value) {
 }
 
 Status BenchReport::Write() const {
+  Result<int> shards = sim::ShardsFromEnv(1);
+  if (!shards.ok()) return shards.status();
   FLEXVIS_RETURN_IF_ERROR(EnsureBenchOutDir());
   JsonValue doc = JsonValue::Object();
   doc.Set("schema_version", JsonValue::Int(1));
@@ -140,7 +142,7 @@ Status BenchReport::Write() const {
   JsonValue meta = JsonValue::Object();
   meta.Set("git_sha", JsonValue::Str(GitSha()));
   meta.Set("threads", JsonValue::Int(ParallelThreadCount()));
-  meta.Set("shards", JsonValue::Int(sim::ShardsFromEnv(1)));
+  meta.Set("shards", JsonValue::Int(*shards));
   doc.Set("meta", std::move(meta));
   doc.Set("samples", samples_);
   doc.Set("stages", stages_);

@@ -4,9 +4,13 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "core/messages.h"
@@ -32,6 +36,47 @@ uint64_t ShardSeed(uint64_t base, int shard) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+/// The energy model one of `n` shards balances: the means divided by n, so
+/// shard-summed totals stay comparable to a single-enterprise run (division
+/// by 1.0 is exact, preserving 1-shard byte-identity).
+EnergyModelParams ShardEnergy(EnergyModelParams energy, int n) {
+  const double divisor = static_cast<double>(n);
+  energy.wind_mean_kwh /= divisor;
+  energy.solar_peak_kwh /= divisor;
+  energy.demand_base_kwh /= divisor;
+  return energy;
+}
+
+/// Merges one shard's cumulative counters into `acc`: the nine additive
+/// counters sum, the queue watermark takes the max, and the shard's outbox
+/// appends to `wires`. `acc` is Finish's global report or, in Resize, the
+/// counters-only fold that re-homes the fleet's totals to new shard 0 — both
+/// spell the counters alike.
+template <typename Counters>
+void AddCounters(const OnlineReport& shard, Counters* acc, std::vector<std::string>* wires) {
+  acc->offers_received += shard.offers_received;
+  acc->accepted += shard.accepted;
+  acc->rejected += shard.rejected;
+  acc->assigned += shard.assigned;
+  acc->missed_acceptance += shard.missed_acceptance;
+  acc->missed_assignment += shard.missed_assignment;
+  acc->dropped_ingest += shard.dropped_ingest;
+  acc->failed_sends += shard.failed_sends;
+  acc->shed_offers += shard.shed_offers;
+  acc->queue_high_watermark = std::max(acc->queue_high_watermark, shard.queue_high_watermark);
+  wires->insert(wires->end(), shard.outbox.begin(), shard.outbox.end());
+}
+
+/// One shard's load as the rebalance controller sees it after a tick; the
+/// live observation and the replayed journal reconstruct it alike.
+ShardLoadSample LoadSample(const OnlineLoopState& state) {
+  ShardLoadSample sample;
+  sample.shed_offers = state.report.shed_offers;
+  sample.queue_depth = static_cast<int>(state.pending_acceptance.size());
+  sample.backlog = static_cast<int64_t>(state.arrival.size() - state.next_arrival);
+  return sample;
 }
 
 /// Element-wise sum of `other` into `acc`, rebasing `acc` when `other`
@@ -245,7 +290,8 @@ void SpliceIn(OnlineTickRecord* fold, const MigratedState& moved) {
                                         static_cast<int>(fold->pending_acceptance.size()));
 }
 
-/// The offer subset `router` assigns to shard `s`, in global input order.
+/// The offer subset `router` assigns to shard `s`, in global input order —
+/// the one place a shard's membership turns into its offers.
 std::vector<FlexOffer> SubsetFor(const ShardRouter& router,
                                  const std::vector<FlexOffer>& offers, int s) {
   std::vector<FlexOffer> subset;
@@ -253,6 +299,37 @@ std::vector<FlexOffer> SubsetFor(const ShardRouter& router,
     if (router.ShardOf(offer) == s) subset.push_back(offer);
   }
   return subset;
+}
+
+/// The member predicate of a migration: one prosumer's offers.
+std::function<bool(const FlexOffer&)> OfProsumer(core::ProsumerId prosumer) {
+  return [prosumer](const FlexOffer& offer) { return offer.prosumer == prosumer; };
+}
+
+/// A resize's share of the extracted fleet state for one new shard:
+/// `fleet` restricted to `subset`'s members. Consumed arrivals and queue
+/// entries keep the fleet order (old shard, then queue order); decided
+/// states follow the subset's global input order, since their schedules
+/// commit to the residual in that order and floating-point sums are
+/// order-sensitive.
+MigratedState RestrictTo(const MigratedState& fleet, const std::vector<FlexOffer>& subset) {
+  std::unordered_map<core::FlexOfferId, size_t> position;
+  for (size_t i = 0; i < subset.size(); ++i) position.emplace(subset[i].id, i);
+  const auto member = [&position](core::FlexOfferId id) { return position.count(id) != 0; };
+  MigratedState share;
+  std::copy_if(fleet.consumed.begin(), fleet.consumed.end(), std::back_inserter(share.consumed),
+               member);
+  std::copy_if(fleet.pending_acceptance.begin(), fleet.pending_acceptance.end(),
+               std::back_inserter(share.pending_acceptance), member);
+  std::copy_if(fleet.pending_assignment.begin(), fleet.pending_assignment.end(),
+               std::back_inserter(share.pending_assignment), member);
+  std::copy_if(fleet.states.begin(), fleet.states.end(), std::back_inserter(share.states),
+               [&member](const OnlineStateChange& change) { return member(change.offer); });
+  std::sort(share.states.begin(), share.states.end(),
+            [&position](const OnlineStateChange& a, const OnlineStateChange& b) {
+              return position.at(a.offer) < position.at(b.offer);
+            });
+  return share;
 }
 
 /// One replayed journal entry: either a tick record or a migration record.
@@ -303,12 +380,15 @@ std::string EncodePlanDoneRecord(int64_t id) {
 
 }  // namespace
 
-int ShardsFromEnv(int fallback) {
+Result<int> ShardsFromEnv(int fallback) {
   const char* env = std::getenv(kShardsEnvVar);
   if (env == nullptr || *env == '\0') return fallback;
   char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value < 1 || value > kMaxShards) return fallback;
+  const long long value = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0' || value < 1 || value > kMaxShards) {
+    return InvalidArgumentError(StrFormat("$%s must be an integer in [1, %d], got '%s'",
+                                          kShardsEnvVar, kMaxShards, env));
+  }
   return static_cast<int>(value);
 }
 
@@ -360,33 +440,31 @@ Status Coordinator::Begin(const std::vector<FlexOffer>& offers, const TimeInterv
     controller_ = std::make_unique<RebalanceController>(*params_.rebalance,
                                                         params_.num_shards, window_);
   }
-  const int n = params_.num_shards;
-  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
+  OnlineParams shard_params = params_.online;
+  shard_params.energy = ShardEnergy(base_energy_, params_.num_shards);
   shards_.clear();
-  for (int s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
-    shard->params = params_.online;
-    shard->params.faults = shard->registry.get();
-    if (params_.scale_energy_per_shard) {
-      const double divisor = static_cast<double>(n);
-      shard->params.energy.wind_mean_kwh /= divisor;
-      shard->params.energy.solar_peak_kwh /= divisor;
-      shard->params.energy.demand_base_kwh /= divisor;
-    }
-    shard->enterprise = OnlineEnterprise(shard->params);
-    std::vector<FlexOffer> subset;
-    subset.reserve(partition[static_cast<size_t>(s)].size());
-    for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
-    Result<OnlineLoopState> state = shard->enterprise.Begin(subset, window);
+  for (int s = 0; s < params_.num_shards; ++s) {
+    Result<std::unique_ptr<Shard>> shard = NewShard(s, shard_params);
+    if (!shard.ok()) return shard.status();
+    Result<OnlineLoopState> state =
+        (*shard)->enterprise.Begin(SubsetFor(router_, offers_, s), window);
     if (!state.ok()) return state.status();
-    shard->state = *std::move(state);
-    shards_.push_back(std::move(shard));
+    (*shard)->state = *std::move(state);
+    shards_.push_back(*std::move(shard));
   }
   begun_ = true;
   return OkStatus();
+}
+
+Result<std::unique_ptr<Coordinator::Shard>> Coordinator::NewShard(
+    int s, const OnlineParams& params) const {
+  auto shard = std::make_unique<Shard>();
+  shard->registry = std::make_unique<FaultRegistry>();
+  FLEXVIS_RETURN_IF_ERROR(InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
+  shard->params = params;
+  shard->params.faults = shard->registry.get();
+  shard->enterprise = OnlineEnterprise(shard->params);
+  return shard;
 }
 
 Status Coordinator::BeginCheckpointed(const std::vector<FlexOffer>& offers,
@@ -416,13 +494,11 @@ Status Coordinator::BeginCheckpointed(const std::vector<FlexOffer>& offers,
   // Per-shard stores (each its own commit point via SNAPSHOT.json, WAL
   // opened ready for the first tick), then the coordinator store — the run's
   // overall commit point — last.
-  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   for (int s = 0; s < params_.num_shards; ++s) {
-    std::vector<FlexOffer> subset;
-    for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
     Result<DurableStore> store = DurableStore::Create(
         ShardDir(s), CheckpointStoreOptions(),
-        EncodeOnlineSnapshot(shards_[static_cast<size_t>(s)]->params, subset, window),
+        EncodeOnlineSnapshot(shards_[static_cast<size_t>(s)]->params,
+                             SubsetFor(router_, offers_, s), window),
         JsonValue());
     if (!store.ok()) return store.status();
     shards_[static_cast<size_t>(s)]->store = *std::move(store);
@@ -510,6 +586,14 @@ Status Coordinator::Tick() {
   return OkStatus();
 }
 
+int Coordinator::MinNextTick() const {
+  int min_next = shards_.front()->state.next_tick;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    min_next = std::min(min_next, shard->state.next_tick);
+  }
+  return min_next;
+}
+
 Status Coordinator::CompactShards(const std::vector<bool>* include) {
   // base_epoch advances FIRST (its own atomic manifest commit): once any
   // shard folds, a recovery may find a migration record at or below
@@ -528,16 +612,12 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     base_epoch_ = epoch_;
     FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
   }
-  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   for (int s = 0; s < params_.num_shards; ++s) {
     Shard& shard = *shards_[static_cast<size_t>(s)];
     if (shard.applied.empty()) continue;
     if (include != nullptr && !(*include)[static_cast<size_t>(s)]) continue;
-    std::vector<FlexOffer> subset;
-    subset.reserve(partition[static_cast<size_t>(s)].size());
-    for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
     OnlineTickRecord fold = FoldTickRecords(shard.applied);
-    StoreFiles files = EncodeOnlineSnapshot(shard.params, subset, window_);
+    StoreFiles files = EncodeOnlineSnapshot(shard.params, SubsetFor(router_, offers_, s), window_);
     files.emplace_back(kCheckpointStateFile, EncodeTickRecord(fold));
     FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
     // The committed fold stands in for everything applied so far, exactly as
@@ -555,14 +635,8 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
     return InvalidArgumentError(
         StrFormat("shard %d out of range [0, %d)", to_shard, params_.num_shards));
   }
-  const FlexOffer* sample = nullptr;
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) {
-      sample = &offer;
-      break;
-    }
-  }
-  if (sample == nullptr) {
+  auto sample = std::find_if(offers_.begin(), offers_.end(), OfProsumer(prosumer));
+  if (sample == offers_.end()) {
     return NotFoundError(
         StrFormat("prosumer %lld owns no offers", static_cast<long long>(prosumer)));
   }
@@ -576,7 +650,8 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
   // under kIdleOnly an active prosumer cannot move, and the error names
   // every already-ingested offer so the operator sees the whole conflict,
   // not just the first.
-  MigratedState moved = ExtractMovedState(from, prosumer);
+  MigratedState moved;
+  ExtractState(from, OfProsumer(prosumer), &moved);
   if (!moved.idle() && mode == MigrationMode::kIdleOnly) {
     std::string ids;
     for (core::FlexOfferId id : moved.consumed) {
@@ -642,35 +717,32 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
   return OkStatus();
 }
 
-MigratedState Coordinator::ExtractMovedState(int s, core::ProsumerId prosumer) const {
+void Coordinator::ExtractState(int s, const std::function<bool(const FlexOffer&)>& member,
+                               MigratedState* out) const {
   const OnlineLoopState& state = shards_[static_cast<size_t>(s)]->state;
-  MigratedState moved;
   for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
+    if (member(offer)) out->offers.push_back(offer);
   }
   for (size_t pos = 0; pos < state.next_arrival; ++pos) {
     const FlexOffer& offer = state.report.offers[state.arrival[pos]];
-    if (offer.prosumer == prosumer) moved.consumed.push_back(offer.id);
+    if (member(offer)) out->consumed.push_back(offer.id);
   }
   for (size_t idx : state.pending_acceptance) {
     const FlexOffer& offer = state.report.offers[idx];
-    if (offer.prosumer == prosumer) moved.pending_acceptance.push_back(offer.id);
+    if (member(offer)) out->pending_acceptance.push_back(offer.id);
   }
   for (size_t idx : state.pending_assignment) {
     const FlexOffer& offer = state.report.offers[idx];
-    if (offer.prosumer == prosumer) moved.pending_assignment.push_back(offer.id);
+    if (member(offer)) out->pending_assignment.push_back(offer.id);
   }
   for (const FlexOffer& offer : state.report.offers) {
-    if (offer.prosumer != prosumer || offer.state == core::FlexOfferState::kOffered) {
-      continue;
-    }
+    if (offer.state == core::FlexOfferState::kOffered || !member(offer)) continue;
     OnlineStateChange change;
     change.offer = offer.id;
     change.state = offer.state;
     if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
-    moved.states.push_back(std::move(change));
+    out->states.push_back(std::move(change));
   }
-  return moved;
 }
 
 Status Coordinator::BuildSplicedState(const OnlineEnterprise& enterprise,
@@ -766,8 +838,12 @@ Status Coordinator::ReplayMigration(const MigrationRecord& record, bool splice_s
   }
   // Re-extracted from the replayed source, the moved state is byte-identical
   // to what the live migration extracted (replay determinism).
-  const MigratedState moved = splice_source ? ExtractMovedState(record.from, record.prosumer)
-                                            : MovedFromRecord(record, offers_);
+  MigratedState moved;
+  if (splice_source) {
+    ExtractState(record.from, OfProsumer(record.prosumer), &moved);
+  } else {
+    moved = MovedFromRecord(record, offers_);
+  }
   FLEXVIS_RETURN_IF_ERROR(router_.Assign(record.prosumer, record.to));
   // max, not assignment: a resume pre-seeds epoch_ with the manifest's
   // base_epoch, and a replayed migration below it must not regress the epoch.
@@ -801,126 +877,46 @@ Status Coordinator::Resize(int new_num_shards) {
     }
   }
 
-  // Collapse the whole fleet into one global view: consumed arrivals, queue
-  // contents (old shard order, then queue order — the deterministic global
-  // ordering both live and resumed resizes derive), decided offer states,
-  // and the counter totals. Per-offer counter attribution is impossible from
-  // journaled state (e.g. a scheduler demotion does not mark the offer), so
-  // every cumulative counter and the global outbox re-home to new shard 0.
-  std::set<core::FlexOfferId> consumed;
-  std::vector<core::FlexOfferId> global_pend_acc;
-  std::vector<core::FlexOfferId> global_pend_asn;
-  std::map<core::FlexOfferId, OnlineStateChange> decided;
-  OnlineTickRecord totals;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const OnlineLoopState& st = shard->state;
-    for (size_t pos = 0; pos < st.next_arrival; ++pos) {
-      consumed.insert(st.report.offers[st.arrival[pos]].id);
-    }
-    for (size_t idx : st.pending_acceptance) {
-      global_pend_acc.push_back(st.report.offers[idx].id);
-    }
-    for (size_t idx : st.pending_assignment) {
-      global_pend_asn.push_back(st.report.offers[idx].id);
-    }
-    for (const FlexOffer& offer : st.report.offers) {
-      if (offer.state == core::FlexOfferState::kOffered) continue;
-      OnlineStateChange change;
-      change.offer = offer.id;
-      change.state = offer.state;
-      if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
-      decided.emplace(offer.id, std::move(change));
-    }
-    totals.offers_received += st.report.offers_received;
-    totals.accepted += st.report.accepted;
-    totals.rejected += st.report.rejected;
-    totals.assigned += st.report.assigned;
-    totals.missed_acceptance += st.report.missed_acceptance;
-    totals.missed_assignment += st.report.missed_assignment;
-    totals.dropped_ingest += st.report.dropped_ingest;
-    totals.failed_sends += st.report.failed_sends;
-    totals.shed_offers += st.report.shed_offers;
-    totals.queue_high_watermark =
-        std::max(totals.queue_high_watermark, st.report.queue_high_watermark);
-    for (const std::string& wire : st.report.outbox) totals.sent.push_back(wire);
+  // Extract the whole fleet's mid-flight state, every old shard in turn, so
+  // the queues land in old-shard order, then queue order — the deterministic
+  // global ordering both live and resumed resizes derive. Per-offer counter
+  // attribution is impossible from journaled state (e.g. a scheduler
+  // demotion does not mark the offer), so the counters-only fold every new
+  // shard is spliced onto carries the fleet's cumulative counters and outbox
+  // on new shard 0 and nothing on the others.
+  OnlineTickRecord empty;
+  empty.folded = true;
+  empty.tick = next_tick - 1;
+  empty.shed_policy = static_cast<int>(params_.online.shed_policy);
+  OnlineTickRecord totals = empty;
+  MigratedState fleet;
+  for (int s = 0; s < params_.num_shards; ++s) {
+    ExtractState(s, [&](const FlexOffer& offer) { return router_.ShardOf(offer) == s; }, &fleet);
+    AddCounters(shards_[static_cast<size_t>(s)]->state.report, &totals, &totals.sent);
   }
 
   // Build the new fleet speculatively: fresh router (a resize drops all
   // overrides — the new hash partition IS the rebalance), per-shard params
-  // re-derived from the unscaled base energy, and each shard's state spliced
-  // from a hand-built fold through the same verified path migrations use.
+  // re-derived from the unscaled base energy, and each shard's share of the
+  // fleet state spliced in and verify-rebuilt exactly as a migration target.
   const int new_n = new_num_shards;
   const int new_topology = topology_ + 1;
   ShardRouter new_router(new_n, params_.policy);
-  std::vector<std::vector<size_t>> partition = new_router.Partition(offers_);
+  OnlineParams shard_params = params_.online;
+  shard_params.energy = ShardEnergy(base_energy_, new_n);
   std::vector<std::unique_ptr<Shard>> new_shards;
-  std::vector<std::vector<FlexOffer>> subsets(static_cast<size_t>(new_n));
+  std::vector<std::vector<FlexOffer>> subsets;
   for (int s = 0; s < new_n; ++s) {
-    const size_t si = static_cast<size_t>(s);
-    subsets[si].reserve(partition[si].size());
-    for (size_t idx : partition[si]) subsets[si].push_back(offers_[idx]);
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
-    shard->params = params_.online;
-    shard->params.energy = base_energy_;
-    if (params_.scale_energy_per_shard) {
-      const double divisor = static_cast<double>(new_n);
-      shard->params.energy.wind_mean_kwh /= divisor;
-      shard->params.energy.solar_peak_kwh /= divisor;
-      shard->params.energy.demand_base_kwh /= divisor;
-    }
-    shard->params.faults = shard->registry.get();
-    shard->enterprise = OnlineEnterprise(shard->params);
-    if (next_tick == 0) {
-      Result<OnlineLoopState> state = shard->enterprise.Begin(subsets[si], window_);
-      if (!state.ok()) return state.status();
-      shard->state = *std::move(state);
-    } else {
-      OnlineTickRecord fold;
-      fold.tick = next_tick - 1;
-      fold.folded = true;
-      fold.shed_policy = static_cast<int>(params_.online.shed_policy);
-      std::set<core::FlexOfferId> member;
-      std::vector<core::FlexOfferId> expect;
-      for (const FlexOffer& offer : subsets[si]) {
-        member.insert(offer.id);
-        if (consumed.count(offer.id) != 0) expect.push_back(offer.id);
-        auto it = decided.find(offer.id);
-        if (it != decided.end()) fold.changes.push_back(it->second);
-      }
-      for (core::FlexOfferId id : global_pend_acc) {
-        if (member.count(id) != 0) fold.pending_acceptance.push_back(id);
-      }
-      for (core::FlexOfferId id : global_pend_asn) {
-        if (member.count(id) != 0) fold.pending_assignment.push_back(id);
-      }
-      fold.next_arrival = static_cast<int64_t>(expect.size());
-      if (s == 0) {
-        fold.offers_received = totals.offers_received;
-        fold.accepted = totals.accepted;
-        fold.rejected = totals.rejected;
-        fold.assigned = totals.assigned;
-        fold.missed_acceptance = totals.missed_acceptance;
-        fold.missed_assignment = totals.missed_assignment;
-        fold.dropped_ingest = totals.dropped_ingest;
-        fold.failed_sends = totals.failed_sends;
-        fold.shed_offers = totals.shed_offers;
-        fold.sent = totals.sent;
-        fold.queue_high_watermark =
-            std::max(totals.queue_high_watermark,
-                     static_cast<int>(fold.pending_acceptance.size()));
-      } else {
-        fold.queue_high_watermark = static_cast<int>(fold.pending_acceptance.size());
-      }
-      OnlineLoopState spliced;
-      FLEXVIS_RETURN_IF_ERROR(
-          BuildSplicedState(shard->enterprise, subsets[si], fold, expect, &spliced));
-      shard->state = std::move(spliced);
-      shard->applied.push_back(std::move(fold));
-    }
-    new_shards.push_back(std::move(shard));
+    Result<std::unique_ptr<Shard>> shard = NewShard(s, shard_params);
+    if (!shard.ok()) return shard.status();
+    subsets.push_back(SubsetFor(new_router, offers_, s));
+    const MigratedState share = RestrictTo(fleet, subsets.back());
+    OnlineTickRecord fold = s == 0 ? totals : empty;
+    SpliceIn(&fold, share);
+    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState((*shard)->enterprise, subsets.back(), fold,
+                                              share.consumed, &(*shard)->state));
+    (*shard)->applied.push_back(std::move(fold));
+    new_shards.push_back(*std::move(shard));
   }
 
   // Stage the new topology's stores next to the old ones (distinct directory
@@ -935,6 +931,8 @@ Status Coordinator::Resize(int new_num_shards) {
     for (int s = 0; s < new_n; ++s) {
       const size_t si = static_cast<size_t>(s);
       StoreFiles files = EncodeOnlineSnapshot(new_shards[si]->params, subsets[si], window_);
+      // Before the first tick the fold is empty and the store is laid out
+      // exactly as Begin lays it out, without a state.json.
       if (next_tick > 0) {
         files.emplace_back(kCheckpointStateFile,
                            EncodeTickRecord(new_shards[si]->applied.front()));
@@ -970,20 +968,6 @@ Status Coordinator::Resize(int new_num_shards) {
     }
   }
   return OkStatus();
-}
-
-std::vector<ShardLoadSample> Coordinator::CollectSamples() const {
-  std::vector<ShardLoadSample> samples;
-  samples.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    ShardLoadSample sample;
-    sample.shed_offers = shard->state.report.shed_offers;
-    sample.queue_depth = static_cast<int>(shard->state.pending_acceptance.size());
-    sample.backlog =
-        static_cast<int64_t>(shard->state.arrival.size() - shard->state.next_arrival);
-    samples.push_back(sample);
-  }
-  return samples;
 }
 
 RebalancePlan Coordinator::BuildPlan(const RebalanceDecision& decision) const {
@@ -1055,7 +1039,9 @@ Status Coordinator::ExecutePlan(const RebalancePlan& plan, bool already_journale
 }
 
 Status Coordinator::ObserveAndRebalance(int64_t tick, bool* resized) {
-  std::optional<RebalanceDecision> decision = controller_->Observe(tick, CollectSamples());
+  std::vector<ShardLoadSample> samples;
+  for (const std::unique_ptr<Shard>& shard : shards_) samples.push_back(LoadSample(shard->state));
+  std::optional<RebalanceDecision> decision = controller_->Observe(tick, samples);
   if (!decision.has_value()) return OkStatus();
   RebalancePlan plan = BuildPlan(*decision);
   if (plan.action == RebalancePlan::Action::kMove && plan.moves.empty()) {
@@ -1069,16 +1055,14 @@ Status Coordinator::ObserveAndRebalance(int64_t tick, bool* resized) {
   return OkStatus();
 }
 
-std::vector<std::vector<size_t>> Coordinator::CurrentPartition() const {
-  return router_.Partition(offers_);
-}
-
 JsonValue Coordinator::CoordinatorMeta() const {
   JsonValue meta = JsonValue::Object();
   meta.Set("schema_version", JsonValue::Int(2));
   meta.Set("num_shards", JsonValue::Int(params_.num_shards));
   meta.Set("policy", JsonValue::Str(std::string(ShardPolicyName(params_.policy))));
-  meta.Set("scale_energy_per_shard", JsonValue::Bool(params_.scale_energy_per_shard));
+  // Per-shard energy scaling is unconditional; the key stays, always true,
+  // so the manifest keeps the layout every earlier coordinator wrote and read.
+  meta.Set("scale_energy_per_shard", JsonValue::Bool(true));
   meta.Set("fault_seed", JsonValue::Int(static_cast<int64_t>(params_.fault_seed)));
   meta.Set("epoch", JsonValue::Int(epoch_));
   meta.Set("base_epoch", JsonValue::Int(base_epoch_));
@@ -1111,6 +1095,106 @@ JsonValue Coordinator::CoordinatorMeta() const {
   return meta;
 }
 
+namespace {
+
+/// COORDINATOR.json's meta, decoded and range-checked.
+struct DecodedCoordinatorMeta {
+  CoordinatorParams params;  // num_shards, policy, fault_seed, rebalance
+  int64_t epoch = 0;
+  int64_t base_epoch = 0;
+  int topology = 0;
+  std::map<core::ProsumerId, int> overrides;
+  std::vector<core::FlexOfferId> offer_order;
+  /// The unscaled wind/solar/demand means; absent from schema-1 manifests.
+  std::optional<EnergyModelParams> base_energy;
+  JsonValue controller;  // the controller's trend state, null when absent
+};
+
+/// Inverse of Coordinator::CoordinatorMeta. A missing, malformed or
+/// out-of-range field is DataLoss: num_shards outside [1, kMaxShards], a
+/// negative topology, epochs outside 0 <= base_epoch <= epoch, an override
+/// naming a shard outside the fleet, or per-shard energy scaling turned off.
+/// base_epoch, topology and base_energy may be absent (older manifests).
+Result<DecodedCoordinatorMeta> DecodeCoordinatorMeta(const JsonValue& meta) {
+  // Integer fields must be JSON integers: GetInt would truncate 2.5 to 2.
+  const auto int_field = [&meta](const char* key,
+                                 std::optional<int64_t> absent) -> std::optional<int64_t> {
+    if (!meta.Has(key)) return absent;
+    const JsonValue& value = meta.Get(key);
+    return value.is_int() ? std::optional<int64_t>(value.AsInt()) : std::nullopt;
+  };
+  const std::optional<int64_t> num_shards = int_field("num_shards", std::nullopt);
+  const std::optional<int64_t> fault_seed = int_field("fault_seed", std::nullopt);
+  const std::optional<int64_t> epoch = int_field("epoch", std::nullopt);
+  const std::optional<int64_t> base_epoch = int_field("base_epoch", 0);
+  const std::optional<int64_t> topology = int_field("topology", 0);
+  Result<std::string> policy_name = meta.GetString("policy");
+  Result<bool> scale = meta.GetBool("scale_energy_per_shard");
+  const JsonValue& order = meta.Get("offer_order");
+  const JsonValue& overrides = meta.Get("overrides");
+  if (!num_shards || !fault_seed || !epoch || !base_epoch || !topology || !policy_name.ok() ||
+      !scale.ok() || !order.is_array() || !overrides.is_array()) {
+    return DataLossError("COORDINATOR.json is incomplete or malformed");
+  }
+  if (!*scale) return DataLossError("COORDINATOR.json turns off per-shard energy scaling");
+  if (*num_shards < 1 || *num_shards > kMaxShards) {
+    return DataLossError(StrFormat("COORDINATOR.json num_shards %lld is outside [1, %d]",
+                                   static_cast<long long>(*num_shards), kMaxShards));
+  }
+  if (*base_epoch < 0 || *base_epoch > *epoch || *topology < 0 ||
+      *topology > std::numeric_limits<int>::max()) {
+    return DataLossError(StrFormat(
+        "COORDINATOR.json is out of range: base_epoch %lld, epoch %lld, topology %lld",
+        static_cast<long long>(*base_epoch), static_cast<long long>(*epoch),
+        static_cast<long long>(*topology)));
+  }
+  Result<ShardPolicy> policy = ParseShardPolicy(*policy_name);
+  if (!policy.ok()) return DataLossError("COORDINATOR.json names an unknown policy");
+  DecodedCoordinatorMeta out;
+  const int n = static_cast<int>(*num_shards);
+  out.params.num_shards = n;
+  out.params.policy = *policy;
+  out.params.fault_seed = static_cast<uint64_t>(*fault_seed);
+  out.epoch = *epoch;
+  out.base_epoch = *base_epoch;
+  out.topology = static_cast<int>(*topology);
+  for (size_t i = 0; i < overrides.size(); ++i) {
+    const JsonValue& pair = overrides[i];
+    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_int() || !pair[1].is_int() ||
+        pair[1].AsInt() < 0 || pair[1].AsInt() >= n) {
+      return DataLossError(StrFormat(
+          "COORDINATOR.json override entry %zu is malformed or leaves the %d-shard fleet", i, n));
+    }
+    out.overrides[pair[0].AsInt()] = static_cast<int>(pair[1].AsInt());
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (!order[i].is_int()) return DataLossError("offer_order holds a non-integer id");
+    out.offer_order.push_back(order[i].AsInt());
+  }
+  if (meta.Has("rebalance")) {
+    Result<RebalanceParams> rebalance = DecodeRebalanceParams(meta.Get("rebalance"));
+    if (!rebalance.ok()) return rebalance.status();
+    out.params.rebalance = *rebalance;
+  }
+  if (meta.Has("base_energy")) {
+    const JsonValue& energy = meta.Get("base_energy");
+    Result<double> wind = energy.GetDouble("wind_mean_kwh");
+    Result<double> solar = energy.GetDouble("solar_peak_kwh");
+    Result<double> demand = energy.GetDouble("demand_base_kwh");
+    if (!wind.ok() || !solar.ok() || !demand.ok()) {
+      return DataLossError("COORDINATOR.json base_energy is incomplete");
+    }
+    out.base_energy = EnergyModelParams{};
+    out.base_energy->wind_mean_kwh = *wind;
+    out.base_energy->solar_peak_kwh = *solar;
+    out.base_energy->demand_base_kwh = *demand;
+  }
+  out.controller = meta.Get("controller");
+  return out;
+}
+
+}  // namespace
+
 Status Coordinator::WriteCoordinatorManifest() {
   return coord_store_.Recommit(CoordinatorMeta());
 }
@@ -1121,7 +1205,7 @@ Result<MergedOnlineReport> Coordinator::Finish() {
   merged.num_shards = params_.num_shards;
   merged.epoch = epoch_;
   merged.topology = topology_;
-  std::vector<std::vector<size_t>> partition = CurrentPartition();
+  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   merged.global.offers.resize(offers_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -1137,20 +1221,9 @@ Result<MergedOnlineReport> Coordinator::Finish() {
     for (size_t i = 0; i < partition[s].size(); ++i) {
       merged.global.offers[partition[s][i]] = report.offers[i];
     }
-    merged.global.offers_received += report.offers_received;
-    merged.global.accepted += report.accepted;
-    merged.global.rejected += report.rejected;
-    merged.global.assigned += report.assigned;
-    merged.global.missed_acceptance += report.missed_acceptance;
-    merged.global.missed_assignment += report.missed_assignment;
-    merged.global.dropped_ingest += report.dropped_ingest;
-    merged.global.failed_sends += report.failed_sends;
-    merged.global.shed_offers += report.shed_offers;
-    merged.global.queue_high_watermark =
-        std::max(merged.global.queue_high_watermark, report.queue_high_watermark);
+    AddCounters(report, &merged.global, &merged.global.outbox);
     merged.global.imbalance_kwh += report.imbalance_kwh;
     merged.global.ticks = std::max(merged.global.ticks, report.ticks);
-    for (const std::string& wire : report.outbox) merged.global.outbox.push_back(wire);
     merged.shard_reports.push_back(std::move(report));
   }
   for (const FlexOffer& offer : merged.global.offers) {
@@ -1191,56 +1264,18 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   Result<DurableStore> coord_store =
       DurableStore::Resume(directory, CoordinatorStoreOptions(), &coord_recovery);
   if (!coord_store.ok()) return coord_store.status();
-  const JsonValue& meta = coord_recovery.meta;
-  if (!meta.is_object()) return DataLossError("COORDINATOR.json carries no coordinator meta");
-  Result<int64_t> num_shards = meta.GetInt("num_shards");
-  Result<std::string> policy_name = meta.GetString("policy");
-  Result<bool> scale = meta.GetBool("scale_energy_per_shard");
-  Result<int64_t> fault_seed = meta.GetInt("fault_seed");
-  Result<int64_t> manifest_epoch = meta.GetInt("epoch");
-  if (!num_shards.ok() || !policy_name.ok() || !scale.ok() || !fault_seed.ok() ||
-      !manifest_epoch.ok() || *num_shards < 1) {
-    return DataLossError("COORDINATOR.json is incomplete");
-  }
-  Result<ShardPolicy> policy = ParseShardPolicy(*policy_name);
-  if (!policy.ok()) return DataLossError("COORDINATOR.json names an unknown policy");
-  const JsonValue& base_epoch_json = meta.Get("base_epoch");
-  const int64_t base_epoch = base_epoch_json.is_int() ? base_epoch_json.AsInt() : 0;
-  const JsonValue& topology_json = meta.Get("topology");
-  const int topology =
-      topology_json.is_int() ? static_cast<int>(topology_json.AsInt()) : 0;
-  const JsonValue& order_json = meta.Get("offer_order");
-  const JsonValue& overrides_json = meta.Get("overrides");
-  if (!order_json.is_array() || !overrides_json.is_array()) {
-    return DataLossError("COORDINATOR.json lacks offer_order/overrides arrays");
-  }
-  std::map<core::ProsumerId, int> manifest_overrides;
-  for (size_t i = 0; i < overrides_json.size(); ++i) {
-    const JsonValue& pair = overrides_json[i];
-    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_int() || !pair[1].is_int()) {
-      return DataLossError("COORDINATOR.json override entry is malformed");
-    }
-    manifest_overrides[pair[0].AsInt()] = static_cast<int>(pair[1].AsInt());
-  }
-
-  const int n = static_cast<int>(*num_shards);
-  CoordinatorParams params;
-  params.num_shards = n;
-  params.policy = *policy;
-  params.scale_energy_per_shard = *scale;
-  params.fault_seed = static_cast<uint64_t>(*fault_seed);
-  if (meta.Has("rebalance")) {
-    Result<RebalanceParams> rebalance = DecodeRebalanceParams(meta.Get("rebalance"));
-    if (!rebalance.ok()) return rebalance.status();
-    params.rebalance = *rebalance;
-  }
+  Result<DecodedCoordinatorMeta> manifest = DecodeCoordinatorMeta(coord_recovery.meta);
+  if (!manifest.ok()) return manifest.status();
+  const int n = manifest->params.num_shards;
+  const int64_t base_epoch = manifest->base_epoch;
+  const int topology = manifest->topology;
 
   // Resume every shard store: each verifies its own SNAPSHOT.json, repairs a
   // torn WAL tail, garbage-collects other-generation debris, and reopens the
   // committed generation's WAL for the continuation. Shards recover to
   // *independent* generations — a crash mid-compaction leaves some folded
   // and some not, and the replay below reconciles them.
-  Coordinator coordinator(params);
+  Coordinator coordinator(manifest->params);
   coordinator.directory_ = directory;
   coordinator.coord_store_ = *std::move(coord_store);
   coordinator.topology_ = topology;
@@ -1263,19 +1298,43 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       if (info != nullptr) ++info->stale_shard_dirs_swept;
     }
   }
-  std::vector<DurableStore> shard_stores(static_cast<size_t>(n));
+  // Each shard is rebuilt from its snapshot subset, then fast-forwarded
+  // through the folded state.json of a compacted generation (no decision
+  // logic re-runs; the folded record is kept as applied[0] so migration
+  // splices and compactions fold it).
   std::vector<StoreRecovery> shard_recovery(static_cast<size_t>(n));
-  std::vector<OnlineParams> shard_params(static_cast<size_t>(n));
   std::vector<std::vector<FlexOffer>> shard_offers(static_cast<size_t>(n));
   TimeInterval window;
+  if (info != nullptr) info->shards.resize(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
     Result<DurableStore> store = DurableStore::Resume(
         coordinator.ShardDir(s), CheckpointStoreOptions(), &shard_recovery[si]);
     if (!store.ok()) return store.status();
-    shard_stores[si] = *std::move(store);
-    FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(shard_recovery[si], &shard_params[si],
+    OnlineParams shard_params;
+    FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(shard_recovery[si], &shard_params,
                                                  &shard_offers[si], &window));
+    Result<std::unique_ptr<Shard>> made = coordinator.NewShard(s, shard_params);
+    if (!made.ok()) return made.status();
+    std::unique_ptr<Shard> shard = *std::move(made);
+    Result<OnlineLoopState> state = shard->enterprise.Begin(shard_offers[si], window);
+    if (!state.ok()) return state.status();
+    shard->state = *std::move(state);
+    auto folded = shard_recovery[si].files.find(kCheckpointStateFile);
+    if (folded != shard_recovery[si].files.end()) {
+      Result<OnlineTickRecord> fold = DecodeTickRecord(folded->second);
+      if (!fold.ok()) return fold.status();
+      if (!fold->folded) {
+        return DataLossError(StrFormat("shard %d state.json is not a folded tick record", s));
+      }
+      FLEXVIS_RETURN_IF_ERROR(shard->enterprise.Apply(shard->state, *fold));
+      if (info != nullptr) {
+        info->shards[si].ticks_folded = static_cast<int>(fold->tick) + 1;
+      }
+      shard->applied.push_back(*std::move(fold));
+    }
+    shard->store = *std::move(store);
+    coordinator.shards_.push_back(std::move(shard));
   }
 
   // Parse every shard's WAL records up front and take a migration inventory:
@@ -1291,7 +1350,6 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   };
   std::map<int64_t, MigrationSides> inventory;
   std::vector<std::deque<ReplayedRecord>> queues(static_cast<size_t>(n));
-  if (info != nullptr) info->shards.resize(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
     for (const std::string& payload : shard_recovery[si].records) {
@@ -1334,53 +1392,40 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // every snapshot (migrated into a shard whose fold never committed) are
   // recovered from migrate_in payloads.
   std::map<core::FlexOfferId, FlexOffer> by_id;
+  const auto collect = [&by_id](const FlexOffer& offer, const char* source) -> Status {
+    auto [it, inserted] = by_id.emplace(offer.id, offer);
+    if (inserted || core::EncodeFlexOffer(it->second) == core::EncodeFlexOffer(offer)) {
+      return OkStatus();
+    }
+    return DataLossError(StrFormat("flex-offer %lld in %s differs from another copy",
+                                   static_cast<long long>(offer.id), source));
+  };
   for (const std::vector<FlexOffer>& subset : shard_offers) {
     for (const FlexOffer& offer : subset) {
-      auto [it, inserted] = by_id.emplace(offer.id, offer);
-      if (!inserted &&
-          core::EncodeFlexOffer(it->second) != core::EncodeFlexOffer(offer)) {
-        return DataLossError(
-            StrFormat("flex-offer %lld appears in two shard snapshots with different "
-                      "content",
-                      static_cast<long long>(offer.id)));
-      }
+      FLEXVIS_RETURN_IF_ERROR(collect(offer, "a shard snapshot"));
     }
   }
   for (const std::deque<ReplayedRecord>& queue : queues) {
     for (const ReplayedRecord& record : queue) {
       if (!record.is_migration || !record.migration.is_in) continue;
       for (const FlexOffer& offer : record.migration.offers) {
-        auto [it, inserted] = by_id.emplace(offer.id, offer);
-        if (!inserted &&
-            core::EncodeFlexOffer(it->second) != core::EncodeFlexOffer(offer)) {
-          return DataLossError(
-              StrFormat("flex-offer %lld in a migrate_in payload differs from its "
-                        "snapshot copy",
-                        static_cast<long long>(offer.id)));
-        }
+        FLEXVIS_RETURN_IF_ERROR(collect(offer, "a migrate_in payload"));
       }
     }
   }
-  coordinator.params_.online = shard_params[0];
-  coordinator.params_.online.faults = nullptr;
   // The snapshots already carry per-shard (scaled) parameters; nothing below
-  // rescales, so suppress the Begin-time scaling semantics on this instance.
+  // rescales them.
+  coordinator.params_.online = coordinator.shards_[0]->params;
+  coordinator.params_.online.faults = nullptr;
   coordinator.window_ = window;
   coordinator.base_energy_ = coordinator.params_.online.energy;
-  const JsonValue& energy_json = meta.Get("base_energy");
-  if (energy_json.is_object()) {
-    Result<double> wind = energy_json.GetDouble("wind_mean_kwh");
-    Result<double> solar = energy_json.GetDouble("solar_peak_kwh");
-    Result<double> demand = energy_json.GetDouble("demand_base_kwh");
-    if (!wind.ok() || !solar.ok() || !demand.ok()) {
-      return DataLossError("COORDINATOR.json base_energy is incomplete");
-    }
-    coordinator.base_energy_.wind_mean_kwh = *wind;
-    coordinator.base_energy_.solar_peak_kwh = *solar;
-    coordinator.base_energy_.demand_base_kwh = *demand;
-  } else if (params.scale_energy_per_shard) {
-    // v1 manifest: multiply shard 0's scaled means back out. Exact only when
-    // the division was (floats), but v1 runs cannot resize anyway.
+  if (manifest->base_energy.has_value()) {
+    coordinator.base_energy_.wind_mean_kwh = manifest->base_energy->wind_mean_kwh;
+    coordinator.base_energy_.solar_peak_kwh = manifest->base_energy->solar_peak_kwh;
+    coordinator.base_energy_.demand_base_kwh = manifest->base_energy->demand_base_kwh;
+  } else {
+    // Schema-1 manifest: multiply shard 0's scaled means back out. Exact only
+    // when the division was (floats), but schema-1 runs cannot resize anyway.
     const double factor = static_cast<double>(n);
     coordinator.base_energy_.wind_mean_kwh *= factor;
     coordinator.base_energy_.solar_peak_kwh *= factor;
@@ -1389,18 +1434,16 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   if (coordinator.params_.rebalance.has_value()) {
     coordinator.controller_ = std::make_unique<RebalanceController>(
         *coordinator.params_.rebalance, n, window);
-    if (meta.Has("controller")) {
-      FLEXVIS_RETURN_IF_ERROR(
-          coordinator.controller_->DecodeState(meta.Get("controller")));
+    if (!manifest->controller.is_null()) {
+      FLEXVIS_RETURN_IF_ERROR(coordinator.controller_->DecodeState(manifest->controller));
     }
   }
-  for (size_t i = 0; i < order_json.size(); ++i) {
-    if (!order_json[i].is_int()) return DataLossError("offer_order holds a non-integer id");
-    auto it = by_id.find(order_json[i].AsInt());
+  for (core::FlexOfferId id : manifest->offer_order) {
+    auto it = by_id.find(id);
     if (it == by_id.end()) {
       return DataLossError(StrFormat("offer_order names flex-offer %lld absent from every "
                                      "shard snapshot and migration record",
-                                     static_cast<long long>(order_json[i].AsInt())));
+                                     static_cast<long long>(id)));
     }
     coordinator.offers_.push_back(it->second);
   }
@@ -1417,7 +1460,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // whose history still holds them). The epoch starts at base_epoch too —
   // migrations at or below it are baked into (some) snapshots and may have
   // no journal records left to replay.
-  for (const auto& [prosumer, shard] : manifest_overrides) {
+  for (const auto& [prosumer, shard] : manifest->overrides) {
     FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(prosumer, shard));
   }
   std::set<core::ProsumerId> seeded;
@@ -1429,39 +1472,6 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   coordinator.epoch_ = base_epoch;
   coordinator.base_epoch_ = base_epoch;
 
-  // Rebuild each shard from its snapshot subset, then fast-forward through
-  // the folded state.json of a compacted generation (no decision logic
-  // re-runs; the folded record is kept as applied[0] so migration splices and
-  // compactions fold it).
-  for (int s = 0; s < n; ++s) {
-    const size_t si = static_cast<size_t>(s);
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params.fault_seed, s)));
-    shard->params = shard_params[si];
-    shard->params.faults = shard->registry.get();
-    shard->enterprise = OnlineEnterprise(shard->params);
-    Result<OnlineLoopState> state = shard->enterprise.Begin(shard_offers[si], window);
-    if (!state.ok()) return state.status();
-    shard->state = *std::move(state);
-    auto folded = shard_recovery[si].files.find(kCheckpointStateFile);
-    if (folded != shard_recovery[si].files.end()) {
-      Result<OnlineTickRecord> fold = DecodeTickRecord(folded->second);
-      if (!fold.ok()) return fold.status();
-      if (!fold->folded) {
-        return DataLossError(
-            StrFormat("shard %d state.json is not a folded tick record", s));
-      }
-      FLEXVIS_RETURN_IF_ERROR(shard->enterprise.Apply(shard->state, *fold));
-      if (info != nullptr) {
-        info->shards[si].ticks_folded = static_cast<int>(fold->tick) + 1;
-      }
-      shard->applied.push_back(*std::move(fold));
-    }
-    shard->store = std::move(shard_stores[si]);
-    coordinator.shards_.push_back(std::move(shard));
-  }
   coordinator.begun_ = true;
   coordinator.checkpointed_ = true;
 
@@ -1565,9 +1575,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       // flushes. Re-journal the migrate_in, then commit.
       MigrationRecord in = record;
       in.is_in = true;
-      for (const FlexOffer& offer : coordinator.offers_) {
-        if (offer.prosumer == in.prosumer) in.offers.push_back(offer);
-      }
+      in.offers = MovedFromRecord(record, coordinator.offers_).offers;
       Shard& target = *coordinator.shards_[static_cast<size_t>(in.to)];
       FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
       FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
@@ -1592,12 +1600,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       if (coordinator.controller_ != nullptr) {
         std::vector<std::optional<ShardLoadSample>>& row = samples[record.tick];
         row.resize(static_cast<size_t>(n));
-        ShardLoadSample sample;
-        sample.shed_offers = shard.state.report.shed_offers;
-        sample.queue_depth = static_cast<int>(shard.state.pending_acceptance.size());
-        sample.backlog =
-            static_cast<int64_t>(shard.state.arrival.size() - shard.state.next_arrival);
-        row[static_cast<size_t>(s)] = sample;
+        row[static_cast<size_t>(s)] = LoadSample(shard.state);
       }
       // A boundary tick surviving in the WAL means this shard's fold at that
       // boundary never committed — remembered for the catch-up compaction.
@@ -1618,8 +1621,8 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // The journals are authoritative for the assignment epoch; a manifest that
   // lags them (crash between a migration's flushes and its manifest rewrite)
   // is refreshed before the run continues.
-  if (coordinator.epoch_ != *manifest_epoch ||
-      coordinator.router_.overrides() != manifest_overrides) {
+  if (coordinator.epoch_ != manifest->epoch ||
+      coordinator.router_.overrides() != manifest->overrides) {
     FLEXVIS_RETURN_IF_ERROR(coordinator.WriteCoordinatorManifest());
     if (info != nullptr) info->manifest_rewritten = true;
   }
@@ -1633,11 +1636,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   const int topology_before_reconcile = coordinator.topology_;
   std::optional<RebalanceDecision> pending_decision;
   if (coordinator.controller_ != nullptr) {
-    int64_t min_last = -1;
-    for (const std::unique_ptr<Shard>& shard : coordinator.shards_) {
-      const int64_t last = static_cast<int64_t>(shard->state.next_tick) - 1;
-      if (min_last < 0 || last < min_last) min_last = last;
-    }
+    const int64_t min_last = coordinator.MinNextTick() - 1;
     for (int64_t t = coordinator.controller_->last_observed_tick() + 1; t <= min_last;
          ++t) {
       auto row = samples.find(t);
@@ -1717,12 +1716,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       compact_ticks > 0 && coordinator.topology_ == topology_before_reconcile &&
       std::find(missed_compaction.begin(), missed_compaction.end(), true) !=
           missed_compaction.end()) {
-    int64_t min_next = -1;
-    for (const std::unique_ptr<Shard>& shard : coordinator.shards_) {
-      if (min_next < 0 || shard->state.next_tick < min_next) {
-        min_next = shard->state.next_tick;
-      }
-    }
+    const int min_next = coordinator.MinNextTick();
     if (min_next > 0 && min_next % compact_ticks == 0) {
       FLEXVIS_RETURN_IF_ERROR(coordinator.CompactShards(&missed_compaction));
     }
@@ -1751,29 +1745,13 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
 Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
                                                 int num_shards, ShardPolicy policy,
                                                 const std::vector<FlexOffer>& offers,
-                                                const TimeInterval& window,
-                                                bool scale_energy_per_shard,
-                                                uint64_t fault_seed) {
+                                                const TimeInterval& window) {
   const int n = num_shards < 1 ? 1 : num_shards;
   ShardRouter router(n, policy);
-  std::vector<std::vector<size_t>> partition = router.Partition(offers);
-
-  std::vector<std::unique_ptr<FaultRegistry>> registries(static_cast<size_t>(n));
-  std::vector<EnterpriseParams> shard_params(static_cast<size_t>(n), params);
-  for (int s = 0; s < n; ++s) {
-    registries[static_cast<size_t>(s)] = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*registries[static_cast<size_t>(s)], ShardSeed(fault_seed, s)));
-    EnterpriseParams& sp = shard_params[static_cast<size_t>(s)];
-    if (scale_energy_per_shard) {
-      const double divisor = static_cast<double>(n);
-      sp.energy.wind_mean_kwh /= divisor;
-      sp.energy.solar_peak_kwh /= divisor;
-      sp.energy.demand_base_kwh /= divisor;
-    }
-    sp.faults = registries[static_cast<size_t>(s)].get();
-    sp.market.faults = registries[static_cast<size_t>(s)].get();
-  }
+  // The offline fleet seeds its registries like a default online fleet.
+  const uint64_t fault_seed = CoordinatorParams().fault_seed;
+  EnterpriseParams shard_params = params;
+  shard_params.energy = ShardEnergy(params.energy, n);
 
   // Shard planning runs in parallel; each shard touches only its own params,
   // registry, and report slot. Nested parallel sections inside PlanHorizon
@@ -1782,11 +1760,15 @@ Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
   std::vector<PlanningReport> reports(static_cast<size_t>(n));
   ParallelFor(0, static_cast<size_t>(n), 1, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
-      std::vector<FlexOffer> subset;
-      subset.reserve(partition[s].size());
-      for (size_t idx : partition[s]) subset.push_back(offers[idx]);
-      Enterprise enterprise(shard_params[s]);
-      Result<PlanningReport> report = enterprise.PlanHorizon(subset, window);
+      const int shard = static_cast<int>(s);
+      FaultRegistry registry;
+      statuses[s] = InstallFaultsInto(registry, ShardSeed(fault_seed, shard));
+      if (!statuses[s].ok()) continue;
+      EnterpriseParams own = shard_params;
+      own.faults = &registry;
+      own.market.faults = &registry;
+      Result<PlanningReport> report =
+          Enterprise(own).PlanHorizon(SubsetFor(router, offers, shard), window);
       if (report.ok()) {
         reports[s] = *std::move(report);
       } else {

@@ -2,6 +2,7 @@
 #define FLEXVIS_SIM_COORDINATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,21 +64,21 @@ inline constexpr const char* kShardDirPrefix = "shard-";
 /// Name of the shard-count environment knob benches and the CLI honour.
 inline constexpr const char* kShardsEnvVar = "FLEXVIS_SHARDS";
 
-/// getenv(FLEXVIS_SHARDS) clamped to [1, 64]; `fallback` when unset/invalid.
-int ShardsFromEnv(int fallback = 1);
+/// getenv(FLEXVIS_SHARDS) as a shard count in [1, kMaxShards]; `fallback`
+/// when unset or empty, InvalidArgument naming the variable otherwise.
+Result<int> ShardsFromEnv(int fallback = 1);
 
 struct CoordinatorParams {
   int num_shards = 1;
   ShardPolicy policy = ShardPolicy::kHash;
   /// Per-shard loop parameters. `online.faults` is ignored: every shard gets
   /// its own registry, seeded from `fault_seed` and armed from
-  /// FLEXVIS_FAULTS (a no-op when the variable is unset).
+  /// FLEXVIS_FAULTS (a no-op when the variable is unset). The energy-model
+  /// means (wind/solar/demand) are divided by num_shards for every shard, so
+  /// each balances its share of the market zone and shard-summed totals stay
+  /// comparable to a single-enterprise run (division by 1.0 is exact,
+  /// preserving 1-shard byte-identity).
   OnlineParams online;
-  /// Divide the energy-model means (wind/solar/demand) by num_shards so each
-  /// shard balances its share of the market zone and shard-summed totals
-  /// stay comparable to a single-enterprise run. Division by 1.0 is exact,
-  /// preserving 1-shard byte-identity.
-  bool scale_energy_per_shard = true;
   /// Base seed for the per-shard fault registries (shard s is seeded with a
   /// shard-distinct mix of this).
   uint64_t fault_seed = 2013;
@@ -99,10 +100,10 @@ enum class MigrationMode {
   kAllowActive,
 };
 
-/// A prosumer's mid-flight state, the payload a migration moves between
-/// shards (journaled inside the migrate_out/migrate_in records and spliced
-/// into both shards' folded records at commit). Empty apart from `offers`
-/// for an idle prosumer.
+/// Mid-flight state of a set of offers: one prosumer's, the payload a
+/// migration moves between shards (journaled inside the migrate_out/
+/// migrate_in records; empty apart from `offers` for an idle prosumer), or a
+/// whole shard's, which a resize splices into the new fleet.
 struct MigratedState {
   /// The prosumer's offers, verbatim input copies in global input order
   /// (migrate_in records carry them so the record is self-contained).
@@ -224,10 +225,12 @@ class Coordinator {
 
   /// Changes the fleet to `new_num_shards` at the current tick boundary
   /// (FailedPrecondition when the shards are not in lockstep or ingest
-  /// backlog skew makes the consumed-history splice ambiguous). The global
-  /// live state is re-partitioned under a fresh router (overrides cleared),
-  /// cumulative counters and the outbox are re-homed to new shard 0, and —
-  /// when checkpointed — a new topology of shard stores
+  /// backlog skew makes the consumed-history splice ambiguous). Every old
+  /// shard's state is extracted, and each new shard, under a fresh router
+  /// (overrides cleared), splices in its share and is verify-rebuilt as a
+  /// migration target is; only the fold seed differs, re-homing cumulative
+  /// counters and the outbox to new shard 0. When checkpointed, a new
+  /// topology of shard stores
   /// (`shard-NNNN.t<topology>/`) is staged and committed atomically by the
   /// COORDINATOR.json rewrite, after which the old topology's directories
   /// are destroyed (a crash in between leaves debris the next resume
@@ -278,13 +281,24 @@ class Coordinator {
   /// restricts the fold to the flagged shards — the resume path's catch-up
   /// for a compaction the crash interrupted partway through the shard list.
   Status CompactShards(const std::vector<bool>* include = nullptr);
-  std::vector<std::vector<size_t>> CurrentPartition() const;
+  /// The lowest next_tick across the fleet.
+  int MinNextTick() const;
+  /// The one shard factory: shard `s`'s fault registry (seeded from the run's
+  /// fault seed, armed from FLEXVIS_FAULTS) and an enterprise running the
+  /// energy-scaled `params` against it. The caller builds the loop state.
+  Result<std::unique_ptr<Shard>> NewShard(int s, const OnlineParams& params) const;
 
-  // ---- Migration splice ------------------------------------------------------
+  // ---- Re-partition splice: extract -> splice -> verify-rebuild -------------
+  // A migration splices onto each shard's own history fold, a resize onto a
+  // counters-only fold per new shard; nothing else differs.
 
-  /// Everything of `prosumer`'s mid-flight state on shard `s`, extracted
-  /// from the live loop state, plus its offers from the global input list.
-  MigratedState ExtractMovedState(int s, core::ProsumerId prosumer) const;
+  /// Appends to `out` the mid-flight state of shard `s`'s offers `member`
+  /// selects: input copies (global input order), consumed arrivals (arrival
+  /// order), queue entries (queue order) and decided states with schedules
+  /// (subset order). A migration selects one prosumer, a resize each old
+  /// shard whole, in shard order.
+  void ExtractState(int s, const std::function<bool(const core::FlexOffer&)>& member,
+                    MigratedState* out) const;
   /// Begin(subset) + Apply(fold), then verifies the consumed-arrival prefix
   /// is exactly `expect_consumed` as a set (FailedPrecondition otherwise —
   /// ingest-backlog skew would reorder consumed history). Swaps into `out`.
@@ -317,9 +331,6 @@ class Coordinator {
 
   // ---- Rebalance controller wiring -----------------------------------------
 
-  /// One tick's per-shard load samples from the live states (identical to
-  /// what a replayed journal record reconstructs).
-  std::vector<ShardLoadSample> CollectSamples() const;
   /// Turns a controller decision into a concrete plan (move-set picked from
   /// the hot shard's per-prosumer pending load).
   RebalancePlan BuildPlan(const RebalanceDecision& decision) const;
@@ -356,8 +367,9 @@ class Coordinator {
 };
 
 /// Offline counterpart: PlanHorizon across N enterprise shards, each with
-/// its own FaultRegistry and a 1/N-scaled energy model, run in parallel and
-/// merged deterministically.
+/// its own FaultRegistry (seeded from CoordinatorParams' default fault seed)
+/// and a 1/N-scaled energy model, run in parallel and merged
+/// deterministically.
 struct MergedPlanningReport {
   int num_shards = 1;
   /// Series and settlement scalars summed across shards; member_offers and
@@ -372,9 +384,7 @@ struct MergedPlanningReport {
 Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
                                                 int num_shards, ShardPolicy policy,
                                                 const std::vector<core::FlexOffer>& offers,
-                                                const timeutil::TimeInterval& window,
-                                                bool scale_energy_per_shard = true,
-                                                uint64_t fault_seed = 2013);
+                                                const timeutil::TimeInterval& window);
 
 }  // namespace flexvis::sim
 

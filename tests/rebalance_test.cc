@@ -2,9 +2,10 @@
 // windows, cooldown pacing, split/merge decisions, serialized trend state),
 // PickMoveSet determinism, ScanOverload boundary cases, active-prosumer
 // migration (precondition reporting, conservation, checkpointed resume),
-// split/merge elasticity with topology-epoch'd stores, the closed control
-// loop, and the rebalancing kill matrix (crash at every durable write while
-// plans execute; recovery converges to the uninterrupted run).
+// split/merge elasticity with topology-epoch'd stores and golden-pinned
+// resize output, the closed control loop, and the rebalancing kill matrix
+// (crash at every durable write while plans execute; recovery converges to
+// the uninterrupted run).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -27,7 +28,9 @@
 #include "sim/shard.h"
 #include "sim/workload.h"
 #include "util/fault.h"
+#include "util/crc32.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 
 namespace flexvis {
 namespace {
@@ -110,6 +113,28 @@ void ExpectConserved(const sim::MergedOnlineReport& merged,
   EXPECT_EQ(rejected, merged.global.rejected) << label;
   EXPECT_EQ(shed, merged.global.shed_offers) << label;
   EXPECT_EQ(outbox, merged.global.outbox.size()) << label;
+}
+
+/// CRC-32 over a merged report's observable output: fleet shape, then for
+/// the global report and every shard report the counters, the outbox and
+/// every offer's wire encoding. Pins what a resize produces, not merely that
+/// it conserves.
+uint32_t MergedCrc(const sim::MergedOnlineReport& merged) {
+  uint32_t crc = Crc32(StrFormat("shards=%d topology=%d epoch=%lld", merged.num_shards,
+                                 merged.topology, static_cast<long long>(merged.epoch)));
+  auto fold = [&crc](const sim::OnlineReport& r) {
+    const std::string counters =
+        StrFormat("|%d %d %d %d %d %d %d %d %d %d %d %.17g", r.offers_received, r.accepted,
+                  r.rejected, r.assigned, r.missed_acceptance, r.missed_assignment,
+                  r.dropped_ingest, r.failed_sends, r.shed_offers, r.queue_high_watermark, r.ticks,
+                  r.imbalance_kwh);
+    crc = Crc32(counters, crc);
+    for (const std::string& wire : r.outbox) crc = Crc32(wire, crc);
+    for (const core::FlexOffer& offer : r.offers) crc = Crc32(core::EncodeFlexOffer(offer), crc);
+  };
+  fold(merged.global);
+  for (const sim::OnlineReport& r : merged.shard_reports) fold(r);
+  return crc;
 }
 
 // ---- PickMoveSet ------------------------------------------------------------
@@ -682,6 +707,37 @@ TEST_F(RebalanceTest, CheckpointedResizeResumesByteIdenticallyWithNewTopologyDir
   EXPECT_EQ(info.plans_completed, 0);
   EXPECT_EQ(info.plans_reexecuted, 0);
   ExpectMergedEqual(*baseline, *resumed, "resize across resume");
+}
+
+TEST_F(RebalanceTest, MidRunResizeOutputMatchesGoldenCrcs) {
+  // Conservation and live-vs-resume equality hold for any consistent
+  // re-partition; these CRCs pin the one the resize actually produces (queue
+  // order, decided-state order, counter re-homing), so a refactor of the
+  // resize path that changes its output fails here.
+  Result<sim::MergedOnlineReport> split = RunResizing("", 2, 4, 3);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(MergedCrc(*split), 0x843CE7DEu) << "split 2->4 at tick 3";
+  Result<sim::MergedOnlineReport> merge = RunResizing("", 2, 1, 3);
+  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+  EXPECT_EQ(MergedCrc(*merge), 0x6CD4383Bu) << "merge 2->1 at tick 3";
+
+  // The controller-driven split of ControllerSplitsTheFleetWhenEveryShardStaysHot.
+  UseDenseWorkload();
+  sim::CoordinatorParams params = Params(2);
+  params.online.ingest_queue_capacity = 1;
+  sim::RebalanceParams rebalance;
+  rebalance.window_ticks = 2;
+  rebalance.cooldown_ticks = 6;
+  rebalance.allow_resize = true;
+  rebalance.max_shards = 4;
+  params.rebalance = rebalance;
+  sim::Coordinator coordinator(params);
+  ASSERT_TRUE(coordinator.Begin(workload_.offers, window_).ok());
+  while (!coordinator.Done()) ASSERT_TRUE(coordinator.Tick().ok());
+  ASSERT_EQ(coordinator.topology(), 1);
+  Result<sim::MergedOnlineReport> controlled = coordinator.Finish();
+  ASSERT_TRUE(controlled.ok()) << controlled.status().ToString();
+  EXPECT_EQ(MergedCrc(*controlled), 0x353DEDF0u) << "controller-driven split";
 }
 
 TEST_F(RebalanceTest, ControllerClosedLoopExecutesPlansAndConserves) {

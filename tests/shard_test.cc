@@ -2,15 +2,21 @@
 // with the unsharded run, shard-invariant measures of the N-shard merge,
 // replay-verified prosumer migration, the coordinator-level kill matrix
 // (crashes during a shard's journal flush and during the coordinator manifest
-// write), overload shedding, and sharded warehouse persistence.
+// write), typed rejection of malformed COORDINATOR.json manifests, overload
+// shedding, and sharded warehouse persistence.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,7 +31,9 @@
 #include "sim/shard.h"
 #include "sim/workload.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/parallel.h"
+#include "util/store.h"
 #include "util/strings.h"
 
 namespace flexvis {
@@ -230,15 +238,21 @@ TEST_F(ShardTest, PolicyNamesRoundTrip) {
 
 TEST_F(ShardTest, ShardsFromEnvParsesAndClamps) {
   ::setenv(sim::kShardsEnvVar, "4", 1);
-  EXPECT_EQ(sim::ShardsFromEnv(1), 4);
-  ::setenv(sim::kShardsEnvVar, "abc", 1);
-  EXPECT_EQ(sim::ShardsFromEnv(3), 3);
-  ::setenv(sim::kShardsEnvVar, "0", 1);
-  EXPECT_EQ(sim::ShardsFromEnv(3), 3);
-  ::setenv(sim::kShardsEnvVar, "65", 1);
-  EXPECT_EQ(sim::ShardsFromEnv(3), 3);
+  Result<int> four = sim::ShardsFromEnv(1);
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  EXPECT_EQ(*four, 4);
+  // A malformed or out-of-range value is a typed error naming the variable,
+  // never a silent fall back to the default fleet.
+  for (const char* bad : {"abc", "4x", "0", "-2", "65", "4294967297"}) {
+    ::setenv(sim::kShardsEnvVar, bad, 1);
+    Result<int> shards = sim::ShardsFromEnv(3);
+    EXPECT_EQ(shards.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(shards.status().message().find(sim::kShardsEnvVar), std::string::npos) << bad;
+  }
+  ::setenv(sim::kShardsEnvVar, "", 1);
+  EXPECT_EQ(sim::ShardsFromEnv(2).value_or(-1), 2);
   ::unsetenv(sim::kShardsEnvVar);
-  EXPECT_EQ(sim::ShardsFromEnv(2), 2);
+  EXPECT_EQ(sim::ShardsFromEnv(2).value_or(-1), 2);
 }
 
 // ---- 1-shard byte-identity -------------------------------------------------
@@ -770,6 +784,168 @@ TEST_F(ShardTest, ResumeShardedWithoutManifestIsDataLoss) {
   Result<sim::MergedOnlineReport> report = sim::Coordinator::ResumeSharded(dir);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
+  // A completed 2-shard run with one committed migration: its manifest
+  // carries an override, a non-zero epoch and every optional field.
+  const core::ProsumerId prosumer = FindIdleProsumer(3);
+  ASSERT_NE(prosumer, core::kInvalidProsumerId);
+  sim::ShardRouter router(2, sim::ShardPolicy::kHash);
+  const int from =
+      router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
+  const std::string base = Dir("meta_base");
+  Result<sim::MergedOnlineReport> baseline = RunMigrating(base, 2, prosumer, 1 - from, 3);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  StoreOptions options;
+  options.manifest_name = sim::kCoordinatorManifestFile;
+  options.journal_name = "coordinator.wal";
+  Result<StoreRecovery> recovered = DurableStore::Recover(base, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const JsonValue meta = recovered->meta;
+  ASSERT_TRUE(meta.is_object());
+  ASSERT_EQ(meta.Get("overrides").size(), 1u);
+
+  // Resumes a fresh copy of the run whose manifest meta is `mutated`.
+  const auto resume_with_meta = [&](const JsonValue& mutated) -> Status {
+    const std::string dir = Dir("meta_case");
+    fs::copy(base, dir, fs::copy_options::recursive);
+    StoreRecovery recovery;
+    Result<DurableStore> store = DurableStore::Resume(dir, options, &recovery);
+    if (!store.ok()) return store.status();
+    FLEXVIS_RETURN_IF_ERROR(store->Recommit(mutated));
+    FLEXVIS_RETURN_IF_ERROR(store->Close());
+    return sim::Coordinator::ResumeSharded(dir).status();
+  };
+  // `meta` with `key` set to `value`, or dropped when `value` is absent.
+  const auto with = [&meta](const std::string& key, std::optional<JsonValue> value) {
+    JsonValue out = JsonValue::Object();
+    for (const auto& [k, v] : meta.items()) {
+      if (k != key) out.Set(k, v);
+    }
+    if (value.has_value()) out.Set(key, *value);
+    return out;
+  };
+  const auto pair = [](int64_t prosumer_id, int64_t shard) {
+    JsonValue entry = JsonValue::Array();
+    entry.Append(JsonValue::Int(prosumer_id));
+    entry.Append(JsonValue::Int(shard));
+    JsonValue list = JsonValue::Array();
+    list.Append(std::move(entry));
+    return list;
+  };
+  const auto list_of = [](JsonValue element) {
+    JsonValue list = JsonValue::Array();
+    list.Append(std::move(element));
+    return list;
+  };
+
+  // The unmodified manifest resumes. It carries the constant
+  // `"scale_energy_per_shard": true` every coordinator writes; only `false`
+  // is refused below.
+  EXPECT_EQ(meta.Get("scale_energy_per_shard"), JsonValue::Bool(true));
+  Status intact = resume_with_meta(meta);
+  ASSERT_TRUE(intact.ok()) << intact.ToString();
+
+  // Targeted: every out-of-range or mistyped field is DataLoss.
+  const int64_t epoch = meta.Get("epoch").AsInt();
+  const std::vector<std::pair<std::string, std::optional<JsonValue>>> bad = {
+      {"num_shards", JsonValue::Int(0)},
+      {"num_shards", JsonValue::Int(-1)},
+      {"num_shards", JsonValue::Int(sim::kMaxShards + 1)},
+      {"num_shards", JsonValue::Int(4294967297LL)},  // narrowed to 1 as an int
+      {"num_shards", JsonValue::Str("2")},
+      {"num_shards", JsonValue::Double(2.5)},
+      {"num_shards", std::nullopt},
+      {"topology", JsonValue::Int(-1)},
+      {"topology", JsonValue::Int(4294967296LL)},
+      {"topology", JsonValue::Str("0")},
+      {"base_epoch", JsonValue::Int(-1)},
+      {"base_epoch", JsonValue::Int(epoch + 1)},
+      {"epoch", JsonValue::Int(-1)},
+      {"epoch", std::nullopt},
+      {"scale_energy_per_shard", JsonValue::Bool(false)},
+      {"scale_energy_per_shard", JsonValue::Int(1)},
+      {"policy", JsonValue::Str("bogus")},
+      {"policy", std::nullopt},
+      {"fault_seed", JsonValue::Str("2013")},
+      {"overrides", pair(prosumer, 2)},
+      {"overrides", pair(prosumer, -1)},
+      {"overrides", pair(prosumer, 4294967296LL)},
+      {"overrides", list_of(list_of(JsonValue::Int(prosumer)))},
+      {"overrides", JsonValue::Str("")},
+      {"offer_order", list_of(JsonValue::Str("1"))},
+      {"offer_order", JsonValue::Object()},
+      {"base_energy", JsonValue::Object()},
+      {"base_energy", JsonValue::Int(1)},
+      {"rebalance", JsonValue::Object()},
+  };
+  for (const auto& [key, value] : bad) {
+    const std::string label = key + "=" + (value.has_value() ? value->Dump() : "(absent)");
+    Status status = resume_with_meta(with(key, value));
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << label << ": " << status.ToString();
+  }
+  for (const JsonValue& not_an_object : {JsonValue::Int(7), JsonValue::Array()}) {
+    EXPECT_EQ(resume_with_meta(not_an_object).code(), StatusCode::kDataLoss);
+  }
+
+  // Seeded: hostile values under random keys, and byte flips and truncations
+  // of the manifest file itself. A mutation may leave a resumable run (a
+  // changed fault seed, an unread key); anything else must be a typed
+  // persisted-state error — never a crash, an internal error or a hang.
+  const auto typed = [](const Status& status) {
+    return status.ok() || status.code() == StatusCode::kDataLoss ||
+           status.code() == StatusCode::kNotFound || status.code() == StatusCode::kInvalidArgument;
+  };
+  std::mt19937_64 rng(20130201);
+  const std::vector<JsonValue> hostile = {
+      JsonValue::Int(-1),
+      JsonValue::Int(0),
+      JsonValue::Int(INT64_MAX),
+      JsonValue::Int(INT64_MIN),
+      JsonValue::Int(4294967297LL),
+      JsonValue::Double(1e300),
+      JsonValue::Double(-0.5),
+      JsonValue::Str(""),
+      JsonValue::Bool(false),
+      JsonValue(),
+      JsonValue::Array(),
+      JsonValue::Object(),
+  };
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : meta.items()) keys.push_back(key);
+  for (int i = 0; i < 120; ++i) {
+    const std::string& key = keys[rng() % keys.size()];
+    const JsonValue& value = hostile[rng() % hostile.size()];
+    Status status = resume_with_meta(with(key, value));
+    EXPECT_TRUE(typed(status)) << key << "=" << value.Dump() << ": " << status.ToString();
+  }
+  const fs::path manifest = fs::path(base) / sim::kCoordinatorManifestFile;
+  std::string bytes;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes.empty());
+  for (int i = 0; i < 120; ++i) {
+    std::string mutated = bytes;
+    const size_t pos = rng() % mutated.size();
+    if (i % 3 == 0) {
+      mutated.resize(pos);  // truncation
+    } else {
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (rng() % 8)));  // bit flip
+    }
+    const std::string dir = Dir("meta_bytes");
+    fs::copy(base, dir, fs::copy_options::recursive);
+    {
+      std::ofstream out(fs::path(dir) / sim::kCoordinatorManifestFile,
+                        std::ios::binary | std::ios::trunc);
+      out << mutated;
+    }
+    Status status = sim::Coordinator::ResumeSharded(dir).status();
+    EXPECT_TRUE(typed(status)) << "mutation " << i << " at byte " << pos << ": "
+                               << status.ToString();
+  }
 }
 
 // ---- Overload protection ----------------------------------------------------

@@ -185,12 +185,14 @@ int CmdPlan(const Args& args) {
   // shards (README "Multi-enterprise sharding"). The merged plan is printed
   // but not written back: per-shard schedules belong to per-shard
   // warehouses (dw::SaveDatabaseSharded), not this single one.
-  if (int shards = sim::ShardsFromEnv(1); shards > 1) {
+  Result<int> shards = sim::ShardsFromEnv(1);
+  if (!shards.ok()) return Fail(shards.status());
+  if (*shards > 1) {
     Result<std::vector<core::FlexOffer>> offers =
         db->SelectFlexOffers(dw::FlexOfferFilter{});
     if (!offers.ok()) return Fail(offers.status());
     Result<sim::MergedPlanningReport> merged = sim::PlanHorizonSharded(
-        params, shards, sim::ShardPolicy::kHash, *offers, DayWindow(args));
+        params, *shards, sim::ShardPolicy::kHash, *offers, DayWindow(args));
     if (!merged.ok()) return Fail(merged.status());
     std::printf("enterprise shards     %d\n", merged->num_shards);
     std::printf("offers planned        %d\n", merged->global.offers_in);
