@@ -15,30 +15,6 @@ namespace flexvis::sim {
 
 namespace {
 
-JsonValue IdArray(const std::vector<core::FlexOfferId>& ids) {
-  JsonValue out = JsonValue::Array();
-  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
-  return out;
-}
-
-Status ReadIdArray(const JsonValue& parent, std::string_view key,
-                   std::vector<core::FlexOfferId>* out) {
-  const JsonValue& array = parent.Get(key);
-  if (!array.is_array()) {
-    return DataLossError(StrFormat("tick record field '%.*s' is not an array",
-                                   static_cast<int>(key.size()), key.data()));
-  }
-  out->clear();
-  for (size_t i = 0; i < array.size(); ++i) {
-    if (!array[i].is_int()) {
-      return DataLossError(StrFormat("tick record field '%.*s' holds a non-integer id",
-                                     static_cast<int>(key.size()), key.data()));
-    }
-    out->push_back(array[i].AsInt());
-  }
-  return OkStatus();
-}
-
 /// Optional-with-default integer: pre-overload / pre-compaction checkpoints
 /// lack the newer keys and must keep resuming with the historical behaviour.
 int64_t GetIntOr(const JsonValue& json, std::string_view key, int64_t fallback) {
@@ -249,6 +225,30 @@ Status DecodeOnlineSnapshot(const StoreRecovery& recovery, OnlineParams* params,
   return DecodeOffers(offer_lines->second, offers);
 }
 
+JsonValue EncodeIdArray(const std::vector<core::FlexOfferId>& ids) {
+  JsonValue out = JsonValue::Array();
+  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
+  return out;
+}
+
+Status DecodeIdArray(const JsonValue& parent, std::string_view key,
+                     std::vector<core::FlexOfferId>* out) {
+  const JsonValue& array = parent.Get(key);
+  if (!array.is_array()) {
+    return DataLossError(StrFormat("record field '%.*s' is not an array",
+                                   static_cast<int>(key.size()), key.data()));
+  }
+  out->clear();
+  for (size_t i = 0; i < array.size(); ++i) {
+    if (!array[i].is_int()) {
+      return DataLossError(StrFormat("record field '%.*s' holds a non-integer id",
+                                     static_cast<int>(key.size()), key.data()));
+    }
+    out->push_back(array[i].AsInt());
+  }
+  return OkStatus();
+}
+
 JsonValue EncodeStateChange(const OnlineStateChange& change) {
   JsonValue c = JsonValue::Object();
   c.Set("offer", JsonValue::Int(change.offer));
@@ -314,8 +314,8 @@ std::string EncodeTickRecord(const OnlineTickRecord& record) {
   json.Set("shed", JsonValue::Int(record.shed_offers));
   json.Set("qhw", JsonValue::Int(record.queue_high_watermark));
   json.Set("next_arrival", JsonValue::Int(record.next_arrival));
-  json.Set("pend_acc", IdArray(record.pending_acceptance));
-  json.Set("pend_asn", IdArray(record.pending_assignment));
+  json.Set("pend_acc", EncodeIdArray(record.pending_acceptance));
+  json.Set("pend_asn", EncodeIdArray(record.pending_assignment));
   return json.Dump();
 }
 
@@ -324,10 +324,10 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
   if (!parsed.ok() || !parsed->is_object()) {
     return DataLossError("journal record is not a JSON object");
   }
-  return DecodeTickRecord(*parsed);
-}
-
-Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json) {
+  const JsonValue& json = *parsed;
+  // Shard journals hold tick records only; a tagged record is the retired
+  // per-shard migration format, never a tick.
+  if (json.Has("kind")) return DataLossError("shard journal holds a tagged, non-tick record");
   OnlineTickRecord record;
   Result<int64_t> tick = json.GetInt("tick");
   Result<int64_t> received = json.GetInt("received");
@@ -382,8 +382,8 @@ Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json) {
     }
     record.sent.push_back(sent[i].AsString());
   }
-  FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_acc", &record.pending_acceptance));
-  FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_asn", &record.pending_assignment));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json, "pend_acc", &record.pending_acceptance));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json, "pend_asn", &record.pending_assignment));
   return record;
 }
 

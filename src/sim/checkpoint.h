@@ -24,9 +24,11 @@ namespace flexvis::sim {
 ///   state.json      (generations > 0 only) the folded tick record carrying
 ///                   every tick compacted so far
 ///   SNAPSHOT.json   the store manifest (generation + size/CRC over the
-///                   files above), written last — the commit point
-///   journal.wal     write-ahead journal of OnlineTickRecords, one frame per
-///                   tick, flushed after every append
+///                   files above), written last — the commit point; its
+///                   `meta` holds {"epoch": E}, the coordinator assignment
+///                   epoch the snapshot reflects (absent reads as 0)
+///   journal.wal     write-ahead journal of OnlineTickRecords only, one
+///                   frame per tick, flushed after every append
 ///
 /// Recovery applies snapshot + folded state + journal — recorded decisions,
 /// never re-run — so a resumed run is byte-identical to an uninterrupted one.
@@ -84,18 +86,20 @@ struct ResumeInfo {
 /// bench): compact JSON via EncodeTickRecord, strict decode via
 /// DecodeTickRecord (missing fields or type mismatches error; the overload /
 /// compaction fields added later are optional-with-default so older journals
-/// still replay).
+/// still replay; a record carrying a "kind" key is no tick record and is
+/// DataLoss, since shard journals hold tick records only).
 std::string EncodeTickRecord(const OnlineTickRecord& record);
 Result<OnlineTickRecord> DecodeTickRecord(std::string_view text);
-/// Same, over an already-parsed record (the coordinator parses each journal
-/// frame once to tell tick records from migration records).
-Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json);
 
-/// One offer-state change as a JSON object ({"offer","state"} plus
-/// {"start_min","kwh"} when a schedule is attached) — the element format of
-/// a tick record's "changes" array. Exposed for the coordinator's
-/// active-migration records, which carry the moved offers' decided states in
-/// the same format.
+/// The element formats of a tick record, exposed for the coordinator's
+/// migration records, which carry the moved offers' queue entries and
+/// decided states alike: an id list as a JSON integer array (decoded from
+/// `parent[key]`, DataLoss unless an array of integers), and one offer-state
+/// change as a JSON object ({"offer","state"} plus {"start_min","kwh"} when a
+/// schedule is attached).
+JsonValue EncodeIdArray(const std::vector<core::FlexOfferId>& ids);
+Status DecodeIdArray(const JsonValue& parent, std::string_view key,
+                     std::vector<core::FlexOfferId>* out);
 JsonValue EncodeStateChange(const OnlineStateChange& change);
 Result<OnlineStateChange> DecodeStateChange(const JsonValue& value);
 

@@ -97,157 +97,97 @@ void AddAligned(core::TimeSeries* acc, const core::TimeSeries& other) {
   acc->Add(other);
 }
 
-// ---- Migration journal records ----------------------------------------------
-//
-// Tick records serialize as JSON objects without a "kind" key (the PR 3
-// format, unchanged byte for byte); migration records are tagged with one.
-// A migration appends migrate_out to the source journal (flushed first),
-// then migrate_in — carrying the full offer payload, so the record is
-// self-contained — to the target journal, then rewrites COORDINATOR.json
-// with the bumped epoch. Recovery therefore sees one of: both records (the
-// migration committed; replay it), only migrate_out (crash between the two
-// flushes; complete the migration by synthesizing the migrate_in), or
-// neither (the migration never happened).
-
 }  // namespace
 
+/// A committed prosumer migration as the coordinator WAL holds it: one
+/// record, appended and flushed once, carrying everything a resume needs to
+/// splice either side — the epoch it commits, the tick boundary it landed on
+/// and the whole moved state (the offers included).
 struct MigrationRecord {
-  bool is_in = false;  // migrate_in vs migrate_out
   core::ProsumerId prosumer = core::kInvalidProsumerId;
   int from = 0;
   int to = 0;
   int64_t epoch = 0;
-  /// migrate_in only: the migrated prosumer's offers.
-  std::vector<FlexOffer> offers;
-  /// Active migration: the record additionally carries the prosumer's
-  /// mid-flight state (moved.offers stays empty here — the offer payload
-  /// rides in `offers` on the migrate_in, as for idle migrations).
-  bool active = false;
+  /// The shards' common next tick when the migration committed.
+  int tick = 0;
   MigratedState moved;
 };
 
 namespace {
 
-JsonValue IdArray(const std::vector<core::FlexOfferId>& ids) {
-  JsonValue out = JsonValue::Array();
-  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
-  return out;
-}
-
-Status DecodeIdArray(const JsonValue& value, const char* what,
-                     std::vector<core::FlexOfferId>* out) {
-  if (!value.is_array()) {
-    return DataLossError(StrFormat("migration record '%s' is not an array", what));
-  }
-  for (size_t i = 0; i < value.size(); ++i) {
-    if (!value[i].is_int()) {
-      return DataLossError(StrFormat("migration record '%s' holds a non-integer id", what));
-    }
-    out->push_back(value[i].AsInt());
-  }
-  return OkStatus();
-}
-
 std::string EncodeMigrationRecord(const MigrationRecord& record) {
   JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(record.is_in ? "migrate_in" : "migrate_out"));
+  json.Set("kind", JsonValue::Str("migration"));
   json.Set("prosumer", JsonValue::Int(record.prosumer));
   json.Set("from", JsonValue::Int(record.from));
   json.Set("to", JsonValue::Int(record.to));
   json.Set("epoch", JsonValue::Int(record.epoch));
-  if (record.is_in) {
-    JsonValue offers = JsonValue::Array();
-    for (const FlexOffer& o : record.offers) {
-      offers.Append(JsonValue::Str(core::EncodeFlexOffer(o)));
-    }
-    json.Set("offers", std::move(offers));
+  json.Set("tick", JsonValue::Int(record.tick));
+  JsonValue offers = JsonValue::Array();
+  for (const FlexOffer& offer : record.moved.offers) {
+    offers.Append(JsonValue::Str(core::EncodeFlexOffer(offer)));
   }
-  if (record.active) {
-    json.Set("active", JsonValue::Bool(true));
-    json.Set("consumed", IdArray(record.moved.consumed));
-    json.Set("pend_acc", IdArray(record.moved.pending_acceptance));
-    json.Set("pend_asn", IdArray(record.moved.pending_assignment));
-    JsonValue states = JsonValue::Array();
-    for (const OnlineStateChange& change : record.moved.states) {
-      states.Append(EncodeStateChange(change));
-    }
-    json.Set("states", std::move(states));
+  json.Set("offers", std::move(offers));
+  json.Set("consumed", EncodeIdArray(record.moved.consumed));
+  json.Set("pend_acc", EncodeIdArray(record.moved.pending_acceptance));
+  json.Set("pend_asn", EncodeIdArray(record.moved.pending_assignment));
+  JsonValue states = JsonValue::Array();
+  for (const OnlineStateChange& change : record.moved.states) {
+    states.Append(EncodeStateChange(change));
   }
+  json.Set("states", std::move(states));
   return json.Dump();
 }
 
-Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
+/// Inverse of EncodeMigrationRecord for an `n`-shard fleet: the shards must
+/// be two distinct ones of the fleet, the epoch positive.
+Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json, int n) {
+  Result<int64_t> prosumer = ReadStrictInt(json.Get("prosumer"), "migration prosumer");
+  Result<int64_t> from = ReadStrictInt(json.Get("from"), "migration source shard", 0, n - 1);
+  Result<int64_t> to = ReadStrictInt(json.Get("to"), "migration target shard", 0, n - 1);
+  Result<int64_t> epoch = ReadStrictInt(json.Get("epoch"), "migration epoch", 1);
+  Result<int64_t> tick = ReadStrictInt(json.Get("tick"), "migration tick", 0,
+                                       std::numeric_limits<int>::max());
+  for (const Status* status :
+       {&prosumer.status(), &from.status(), &to.status(), &epoch.status(), &tick.status()}) {
+    if (!status->ok()) return *status;
+  }
+  if (*from == *to) return DataLossError("migration record names one shard as both sides");
   MigrationRecord record;
-  Result<std::string> kind = json.GetString("kind");
-  Result<int64_t> prosumer = json.GetInt("prosumer");
-  Result<int64_t> from = json.GetInt("from");
-  Result<int64_t> to = json.GetInt("to");
-  Result<int64_t> epoch = json.GetInt("epoch");
-  if (!kind.ok() || !prosumer.ok() || !from.ok() || !to.ok() || !epoch.ok()) {
-    return DataLossError("migration journal record is incomplete");
-  }
-  if (*kind == "migrate_in") {
-    record.is_in = true;
-  } else if (*kind != "migrate_out") {
-    return DataLossError(StrFormat("unknown journal record kind '%s'", kind->c_str()));
-  }
   record.prosumer = *prosumer;
   record.from = static_cast<int>(*from);
   record.to = static_cast<int>(*to);
   record.epoch = *epoch;
-  if (record.is_in) {
-    const JsonValue& offers = json.Get("offers");
-    if (!offers.is_array()) {
-      return DataLossError("migrate_in record lacks an 'offers' array");
-    }
-    for (size_t i = 0; i < offers.size(); ++i) {
-      if (!offers[i].is_string()) {
-        return DataLossError("migrate_in record holds a non-string offer");
-      }
-      Result<FlexOffer> offer = core::DecodeFlexOffer(offers[i].AsString());
-      if (!offer.ok()) return offer.status();
-      record.offers.push_back(*std::move(offer));
-    }
+  record.tick = static_cast<int>(*tick);
+  const JsonValue& offers = json.Get("offers");
+  if (!offers.is_array()) return DataLossError("migration record lacks an 'offers' array");
+  for (size_t i = 0; i < offers.size(); ++i) {
+    if (!offers[i].is_string()) return DataLossError("migration record holds a non-string offer");
+    Result<FlexOffer> offer = core::DecodeFlexOffer(offers[i].AsString());
+    if (!offer.ok()) return offer.status();
+    record.moved.offers.push_back(*std::move(offer));
   }
-  // Pre-rebalance records have no "active" key and decode as idle.
-  if (json.Has("active")) {
-    Result<bool> active = json.GetBool("active");
-    if (!active.ok() || !*active) {
-      return DataLossError("migration record 'active' flag is malformed");
-    }
-    record.active = true;
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("consumed"), "consumed", &record.moved.consumed));
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("pend_acc"), "pend_acc", &record.moved.pending_acceptance));
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("pend_asn"), "pend_asn", &record.moved.pending_assignment));
-    const JsonValue& states = json.Get("states");
-    if (!states.is_array()) {
-      return DataLossError("migration record 'states' is not an array");
-    }
-    for (size_t i = 0; i < states.size(); ++i) {
-      Result<OnlineStateChange> change = DecodeStateChange(states[i]);
-      if (!change.ok()) return change.status();
-      record.moved.states.push_back(*std::move(change));
-    }
+  MigratedState& moved = record.moved;
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json, "consumed", &moved.consumed));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json, "pend_acc", &moved.pending_acceptance));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json, "pend_asn", &moved.pending_assignment));
+  const JsonValue& states = json.Get("states");
+  if (!states.is_array()) return DataLossError("migration record 'states' is not an array");
+  for (size_t i = 0; i < states.size(); ++i) {
+    Result<OnlineStateChange> change = DecodeStateChange(states[i]);
+    if (!change.ok()) return change.status();
+    moved.states.push_back(*std::move(change));
   }
   return record;
 }
 
-/// Reconstitutes the full moved state a record carries: a migrate_in holds
-/// the offer payload itself; for a migrate_out (or a legacy payload-free
-/// record) the offers are recovered from the global input list.
-MigratedState MovedFromRecord(const MigrationRecord& record,
-                              const std::vector<FlexOffer>& offers) {
-  MigratedState moved = record.moved;
-  moved.offers = record.offers;
-  if (moved.offers.empty()) {
-    for (const FlexOffer& offer : offers) {
-      if (offer.prosumer == record.prosumer) moved.offers.push_back(offer);
-    }
-  }
-  return moved;
+/// A shard store's manifest meta: the assignment epoch its snapshot
+/// reflects. Resume splices a WAL migration record into a shard only when
+/// the record's epoch is above it.
+JsonValue ShardMeta(int64_t epoch) {
+  JsonValue meta = JsonValue::Object();
+  meta.Set("epoch", JsonValue::Int(epoch));
+  return meta;
 }
 
 /// Removes the moved prosumer's footprint from the source shard's history
@@ -332,38 +272,12 @@ MigratedState RestrictTo(const MigratedState& fleet, const std::vector<FlexOffer
   return share;
 }
 
-/// One replayed journal entry: either a tick record or a migration record.
-struct ReplayedRecord {
-  bool is_migration = false;
-  OnlineTickRecord tick;
-  MigrationRecord migration;
-};
-
-Result<ReplayedRecord> ParseJournalRecord(const std::string& payload) {
-  ReplayedRecord out;
-  Result<JsonValue> parsed = JsonValue::Parse(payload);
-  if (!parsed.ok() || !parsed->is_object()) {
-    return DataLossError("journal record is not a JSON object");
-  }
-  if (parsed->Has("kind")) {
-    Result<MigrationRecord> migration = DecodeMigrationRecord(*parsed);
-    if (!migration.ok()) return migration.status();
-    out.is_migration = true;
-    out.migration = *std::move(migration);
-    return out;
-  }
-  Result<OnlineTickRecord> tick = DecodeTickRecord(*parsed);
-  if (!tick.ok()) return tick.status();
-  out.tick = *std::move(tick);
-  return out;
-}
-
 /// COORDINATOR.json as a zero-file util/store generation: the
-/// atomically-renamed manifest whose `meta` carries the whole coordinator
-/// state, plus a write-ahead journal for rebalance-plan records (kind "plan"
-/// before any step executes, kind "plan_done" after the last). Compacting
-/// the store truncates the plan WAL in the same atomic commit that rewrites
-/// the manifest.
+/// atomically-renamed manifest whose `meta` carries the coordinator state,
+/// plus the coordinator WAL: one record per committed migration (kind
+/// "migration") and the rebalance-plan records (kind "plan" before any step
+/// executes, kind "plan_done" after the last). Compacting the store
+/// truncates the WAL in the same atomic commit that rewrites the manifest.
 StoreOptions CoordinatorStoreOptions() {
   StoreOptions options;
   options.manifest_name = kCoordinatorManifestFile;
@@ -499,7 +413,7 @@ Status Coordinator::BeginCheckpointed(const std::vector<FlexOffer>& offers,
         ShardDir(s), CheckpointStoreOptions(),
         EncodeOnlineSnapshot(shards_[static_cast<size_t>(s)]->params,
                              SubsetFor(router_, offers_, s), window),
-        JsonValue());
+        ShardMeta(epoch_));
     if (!store.ok()) return store.status();
     shards_[static_cast<size_t>(s)]->store = *std::move(store);
   }
@@ -595,23 +509,9 @@ int Coordinator::MinNextTick() const {
 }
 
 Status Coordinator::CompactShards(const std::vector<bool>* include) {
-  // base_epoch advances FIRST (its own atomic manifest commit): once any
-  // shard folds, a recovery may find a migration record at or below
-  // base_epoch whose counterpart was compacted away, and must treat the
-  // counterpart shard's snapshot as already carrying that migration. With a
-  // controller the boundary always rewrites the manifest — it carries the
-  // controller's trend state — and compacts the zero-file coordinator store,
-  // so completed plans' WAL records fold away exactly when the shards'
-  // migration records do.
-  if (controller_ != nullptr) {
-    base_epoch_ = epoch_;
-    if (checkpointed_ && coord_store_.is_open()) {
-      FLEXVIS_RETURN_IF_ERROR(coord_store_.Compact({}, CoordinatorMeta()));
-    }
-  } else if (base_epoch_ != epoch_) {
-    base_epoch_ = epoch_;
-    FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
-  }
+  // A resume rebuilds the controller's load samples from the per-tick
+  // records, so its trend state is committed before any shard folds them.
+  if (controller_ != nullptr) FLEXVIS_RETURN_IF_ERROR(coord_store_.Recommit(CoordinatorMeta()));
   for (int s = 0; s < params_.num_shards; ++s) {
     Shard& shard = *shards_[static_cast<size_t>(s)];
     if (shard.applied.empty()) continue;
@@ -619,13 +519,16 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     OnlineTickRecord fold = FoldTickRecords(shard.applied);
     StoreFiles files = EncodeOnlineSnapshot(shard.params, SubsetFor(router_, offers_, s), window_);
     files.emplace_back(kCheckpointStateFile, EncodeTickRecord(fold));
-    FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
+    FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, ShardMeta(epoch_)));
     // The committed fold stands in for everything applied so far, exactly as
     // it does for a shard resumed from this generation.
     shard.applied.clear();
     shard.applied.push_back(std::move(fold));
   }
-  return OkStatus();
+  // Every snapshot now reflects every migration and finished plan in the
+  // coordinator WAL. Only now is the WAL truncated: before the last fold, a
+  // shard still needed its records.
+  return coord_store_.Compact({}, CoordinatorMeta());
 }
 
 Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
@@ -684,36 +587,21 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
   FLEXVIS_RETURN_IF_ERROR(SpliceShard(to_shard, new_router, moved, /*incoming=*/true,
                                       &target_fold, &target_state));
 
-  // Durability order: migrate_out (source journal) -> migrate_in with the
-  // offer payload (target journal) -> manifest rewrite. Recovery completes a
-  // lone migrate_out; a migrate_in cannot exist without its migrate_out. An
-  // idle move journals no moved-state fields (the pre-rebalance format).
+  // One record, one flush: the coordinator WAL commits the migration whole.
+  // It carries the moved state, so a resume can splice either side from it;
+  // neither shard journal nor COORDINATOR.json is written.
   const int64_t new_epoch = epoch_ + 1;
   if (checkpointed_) {
-    MigrationRecord out;
-    out.prosumer = prosumer;
-    out.from = from;
-    out.to = to_shard;
-    out.epoch = new_epoch;
-    out.active = !moved.idle();
-    if (out.active) {
-      out.moved = moved;
-      out.moved.offers.clear();  // the offer payload rides on the migrate_in
-    }
-    FLEXVIS_RETURN_IF_ERROR(source.store.Append(EncodeMigrationRecord(out)));
-    FLEXVIS_RETURN_IF_ERROR(source.store.Flush());
-    MigrationRecord in = out;
-    in.is_in = true;
-    in.offers = moved.offers;
-    FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
-    FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
+    const MigrationRecord record{prosumer, from, to_shard, new_epoch, source.state.next_tick,
+                                 std::move(moved)};
+    FLEXVIS_RETURN_IF_ERROR(coord_store_.Append(EncodeMigrationRecord(record)));
+    FLEXVIS_RETURN_IF_ERROR(coord_store_.Flush());
   }
 
   router_ = std::move(new_router);
   epoch_ = new_epoch;
   Rebase(from, std::move(source_fold), std::move(source_state));
   Rebase(to_shard, std::move(target_fold), std::move(target_state));
-  if (checkpointed_) FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
   return OkStatus();
 }
 
@@ -827,31 +715,18 @@ void Coordinator::Rebase(int s, OnlineTickRecord fold, OnlineLoopState state) {
 
 Status Coordinator::ReplayMigration(const MigrationRecord& record, bool splice_source,
                                     bool splice_target) {
-  const int from_tick = shards_[static_cast<size_t>(record.from)]->state.next_tick;
-  const int to_tick = shards_[static_cast<size_t>(record.to)]->state.next_tick;
-  if (splice_source && splice_target && from_tick != to_tick) {
-    return DataLossError(
-        StrFormat("migration of prosumer %lld surfaced with shards %d and %d at different "
-                  "ticks (%d vs %d)",
-                  static_cast<long long>(record.prosumer), record.from, record.to, from_tick,
-                  to_tick));
-  }
-  // Re-extracted from the replayed source, the moved state is byte-identical
-  // to what the live migration extracted (replay determinism).
-  MigratedState moved;
-  if (splice_source) {
-    ExtractState(record.from, OfProsumer(record.prosumer), &moved);
-  } else {
-    moved = MovedFromRecord(record, offers_);
-  }
   FLEXVIS_RETURN_IF_ERROR(router_.Assign(record.prosumer, record.to));
-  // max, not assignment: a resume pre-seeds epoch_ with the manifest's
-  // base_epoch, and a replayed migration below it must not regress the epoch.
-  epoch_ = std::max(epoch_, record.epoch);
+  epoch_ = record.epoch;
   const auto splice = [&](int s, bool incoming) -> Status {
+    if (shards_[static_cast<size_t>(s)]->state.next_tick != record.tick) {
+      return DataLossError(StrFormat(
+          "migration of prosumer %lld at tick %d finds shard %d replayed to tick %d",
+          static_cast<long long>(record.prosumer), record.tick, s,
+          shards_[static_cast<size_t>(s)]->state.next_tick));
+    }
     OnlineTickRecord fold;
     OnlineLoopState state;
-    FLEXVIS_RETURN_IF_ERROR(SpliceShard(s, router_, moved, incoming, &fold, &state));
+    FLEXVIS_RETURN_IF_ERROR(SpliceShard(s, router_, record.moved, incoming, &fold, &state));
     Rebase(s, std::move(fold), std::move(state));
     return OkStatus();
   };
@@ -939,7 +814,7 @@ Status Coordinator::Resize(int new_num_shards) {
       }
       Result<DurableStore> store = DurableStore::Create(
           (fs::path(directory_) / ShardDirName(new_topology, s)).string(),
-          CheckpointStoreOptions(), std::move(files), JsonValue());
+          CheckpointStoreOptions(), std::move(files), ShardMeta(epoch_));
       if (!store.ok()) return store.status();
       new_shards[si]->store = *std::move(store);
     }
@@ -952,7 +827,6 @@ Status Coordinator::Resize(int new_num_shards) {
   router_ = std::move(new_router);
   shards_ = std::move(new_shards);
   topology_ = new_topology;
-  base_epoch_ = epoch_;
   if (controller_ != nullptr) {
     // All cumulative counters re-homed to new shard 0; seed its shed
     // baseline with the global total so the first post-resize observation
@@ -1065,7 +939,6 @@ JsonValue Coordinator::CoordinatorMeta() const {
   meta.Set("scale_energy_per_shard", JsonValue::Bool(true));
   meta.Set("fault_seed", JsonValue::Int(static_cast<int64_t>(params_.fault_seed)));
   meta.Set("epoch", JsonValue::Int(epoch_));
-  meta.Set("base_epoch", JsonValue::Int(base_epoch_));
   meta.Set("topology", JsonValue::Int(topology_));
   // Pinned strategy identity (also pinned per shard in each meta.json):
   // surfaced in the manifest so operators and ResumeSharded see the names a
@@ -1100,8 +973,9 @@ namespace {
 /// COORDINATOR.json's meta, decoded and range-checked.
 struct DecodedCoordinatorMeta {
   CoordinatorParams params;  // num_shards, policy, fault_seed, rebalance
+  /// The epoch as of the last manifest commit; the coordinator WAL's
+  /// migration records carry it further.
   int64_t epoch = 0;
-  int64_t base_epoch = 0;
   int topology = 0;
   std::map<core::ProsumerId, int> overrides;
   std::vector<core::FlexOfferId> offer_order;
@@ -1112,42 +986,30 @@ struct DecodedCoordinatorMeta {
 
 /// Inverse of Coordinator::CoordinatorMeta. A missing, malformed or
 /// out-of-range field is DataLoss: num_shards outside [1, kMaxShards], a
-/// negative topology, epochs outside 0 <= base_epoch <= epoch, an override
-/// naming a shard outside the fleet, or per-shard energy scaling turned off.
-/// base_epoch, topology and base_energy may be absent (older manifests).
+/// negative epoch or topology, an override naming a shard outside the
+/// fleet, or per-shard energy scaling turned off. topology and base_energy
+/// may be absent (older manifests).
 Result<DecodedCoordinatorMeta> DecodeCoordinatorMeta(const JsonValue& meta) {
-  // Integer fields must be JSON integers: GetInt would truncate 2.5 to 2.
-  const auto int_field = [&meta](const char* key,
-                                 std::optional<int64_t> absent) -> std::optional<int64_t> {
-    if (!meta.Has(key)) return absent;
-    const JsonValue& value = meta.Get(key);
-    return value.is_int() ? std::optional<int64_t>(value.AsInt()) : std::nullopt;
-  };
-  const std::optional<int64_t> num_shards = int_field("num_shards", std::nullopt);
-  const std::optional<int64_t> fault_seed = int_field("fault_seed", std::nullopt);
-  const std::optional<int64_t> epoch = int_field("epoch", std::nullopt);
-  const std::optional<int64_t> base_epoch = int_field("base_epoch", 0);
-  const std::optional<int64_t> topology = int_field("topology", 0);
+  Result<int64_t> num_shards =
+      ReadStrictInt(meta.Get("num_shards"), "COORDINATOR.json num_shards", 1, kMaxShards);
+  Result<int64_t> fault_seed = ReadStrictInt(meta.Get("fault_seed"), "COORDINATOR.json fault_seed");
+  Result<int64_t> epoch = ReadStrictInt(meta.Get("epoch"), "COORDINATOR.json epoch", 0);
+  Result<int64_t> topology =
+      meta.Has("topology") ? ReadStrictInt(meta.Get("topology"), "COORDINATOR.json topology", 0,
+                                           std::numeric_limits<int>::max())
+                           : Result<int64_t>(0);
+  for (const Status* status :
+       {&num_shards.status(), &fault_seed.status(), &epoch.status(), &topology.status()}) {
+    if (!status->ok()) return *status;
+  }
   Result<std::string> policy_name = meta.GetString("policy");
   Result<bool> scale = meta.GetBool("scale_energy_per_shard");
   const JsonValue& order = meta.Get("offer_order");
   const JsonValue& overrides = meta.Get("overrides");
-  if (!num_shards || !fault_seed || !epoch || !base_epoch || !topology || !policy_name.ok() ||
-      !scale.ok() || !order.is_array() || !overrides.is_array()) {
+  if (!policy_name.ok() || !scale.ok() || !order.is_array() || !overrides.is_array()) {
     return DataLossError("COORDINATOR.json is incomplete or malformed");
   }
   if (!*scale) return DataLossError("COORDINATOR.json turns off per-shard energy scaling");
-  if (*num_shards < 1 || *num_shards > kMaxShards) {
-    return DataLossError(StrFormat("COORDINATOR.json num_shards %lld is outside [1, %d]",
-                                   static_cast<long long>(*num_shards), kMaxShards));
-  }
-  if (*base_epoch < 0 || *base_epoch > *epoch || *topology < 0 ||
-      *topology > std::numeric_limits<int>::max()) {
-    return DataLossError(StrFormat(
-        "COORDINATOR.json is out of range: base_epoch %lld, epoch %lld, topology %lld",
-        static_cast<long long>(*base_epoch), static_cast<long long>(*epoch),
-        static_cast<long long>(*topology)));
-  }
   Result<ShardPolicy> policy = ParseShardPolicy(*policy_name);
   if (!policy.ok()) return DataLossError("COORDINATOR.json names an unknown policy");
   DecodedCoordinatorMeta out;
@@ -1156,7 +1018,6 @@ Result<DecodedCoordinatorMeta> DecodeCoordinatorMeta(const JsonValue& meta) {
   out.params.policy = *policy;
   out.params.fault_seed = static_cast<uint64_t>(*fault_seed);
   out.epoch = *epoch;
-  out.base_epoch = *base_epoch;
   out.topology = static_cast<int>(*topology);
   for (size_t i = 0; i < overrides.size(); ++i) {
     const JsonValue& pair = overrides[i];
@@ -1194,10 +1055,6 @@ Result<DecodedCoordinatorMeta> DecodeCoordinatorMeta(const JsonValue& meta) {
 }
 
 }  // namespace
-
-Status Coordinator::WriteCoordinatorManifest() {
-  return coord_store_.Recommit(CoordinatorMeta());
-}
 
 Result<MergedOnlineReport> Coordinator::Finish() {
   if (!begun_) return FailedPreconditionError("coordinator not begun");
@@ -1267,61 +1124,94 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   Result<DecodedCoordinatorMeta> manifest = DecodeCoordinatorMeta(coord_recovery.meta);
   if (!manifest.ok()) return manifest.status();
   const int n = manifest->params.num_shards;
-  const int64_t base_epoch = manifest->base_epoch;
-  const int topology = manifest->topology;
+
+  // The coordinator WAL: committed migrations, epoch after epoch, and the
+  // rebalance-plan records. Every WAL truncation commits the manifest, so the
+  // manifest epoch lies within the span the migration records cover.
+  std::vector<MigrationRecord> migrations;
+  std::vector<RebalancePlan> wal_plans;
+  std::set<int64_t> done_ids;
+  for (const std::string& payload : coord_recovery.records) {
+    Result<JsonValue> json = JsonValue::Parse(payload);
+    if (!json.ok() || !json->is_object()) {
+      return DataLossError("coordinator WAL record is not a JSON object");
+    }
+    Result<std::string> kind = json->GetString("kind");
+    if (!kind.ok()) return DataLossError("coordinator WAL record lacks a kind");
+    if (*kind == "migration") {
+      Result<MigrationRecord> migration = DecodeMigrationRecord(*json, n);
+      if (!migration.ok()) return migration.status();
+      if (!migrations.empty() && migration->epoch != migrations.back().epoch + 1) {
+        return DataLossError("coordinator WAL migration epochs are not consecutive");
+      }
+      migrations.push_back(*std::move(migration));
+    } else if (*kind == "plan") {
+      Result<RebalancePlan> plan = DecodeRebalancePlan(*json);
+      if (!plan.ok()) return plan.status();
+      wal_plans.push_back(*std::move(plan));
+    } else if (*kind == "plan_done") {
+      Result<int64_t> id = ReadStrictInt(json->Get("id"), "plan_done id");
+      if (!id.ok()) return id.status();
+      done_ids.insert(*id);
+    } else {
+      return DataLossError(
+          StrFormat("coordinator WAL record of unknown kind '%s'", kind->c_str()));
+    }
+  }
+  const int64_t wal_base = migrations.empty() ? manifest->epoch : migrations.front().epoch - 1;
+  const int64_t final_epoch = migrations.empty() ? manifest->epoch : migrations.back().epoch;
+  if (wal_base > manifest->epoch || final_epoch < manifest->epoch) {
+    return DataLossError(StrFormat(
+        "coordinator WAL covers epochs %lld..%lld, missing the manifest epoch %lld",
+        static_cast<long long>(wal_base + 1), static_cast<long long>(final_epoch),
+        static_cast<long long>(manifest->epoch)));
+  }
 
   // Resume every shard store: each verifies its own SNAPSHOT.json, repairs a
   // torn WAL tail, garbage-collects other-generation debris, and reopens the
   // committed generation's WAL for the continuation. Shards recover to
   // *independent* generations — a crash mid-compaction leaves some folded
-  // and some not, and the replay below reconciles them.
+  // and some not, and the replay below reconciles them. Each is rebuilt from
+  // its snapshot subset, then fast-forwarded through the folded state.json of
+  // a compacted generation (no decision logic re-runs; the folded record is
+  // kept as applied[0] so migration splices and compactions fold it).
   Coordinator coordinator(manifest->params);
   coordinator.directory_ = directory;
   coordinator.coord_store_ = *std::move(coord_store);
-  coordinator.topology_ = topology;
-  // Sweep shard directories the committed manifest does not name: a crash
-  // mid-resize leaves either staged new-topology directories (the manifest
-  // flip never happened) or the old topology's directories (the flip
-  // happened but the destroy did not finish). Either way, only the
-  // manifest's topology is live.
-  {
-    std::set<std::string> expected;
-    for (int s = 0; s < n; ++s) expected.insert(ShardDirName(topology, s));
-    std::error_code ec;
-    for (const fs::directory_entry& entry : fs::directory_iterator(directory, ec)) {
-      if (!entry.is_directory()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(kShardDirPrefix, 0) != 0) continue;
-      if (expected.count(name) != 0) continue;
-      FLEXVIS_RETURN_IF_ERROR(
-          DurableStore::Destroy(entry.path().string(), CheckpointStoreOptions()));
-      if (info != nullptr) ++info->stale_shard_dirs_swept;
-    }
-  }
-  // Each shard is rebuilt from its snapshot subset, then fast-forwarded
-  // through the folded state.json of a compacted generation (no decision
-  // logic re-runs; the folded record is kept as applied[0] so migration
-  // splices and compactions fold it).
-  std::vector<StoreRecovery> shard_recovery(static_cast<size_t>(n));
+  coordinator.topology_ = manifest->topology;
+  std::vector<int64_t> snapshot_epoch(static_cast<size_t>(n), 0);
+  std::vector<std::deque<OnlineTickRecord>> queues(static_cast<size_t>(n));
   std::vector<std::vector<FlexOffer>> shard_offers(static_cast<size_t>(n));
   TimeInterval window;
   if (info != nullptr) info->shards.resize(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
-    Result<DurableStore> store = DurableStore::Resume(
-        coordinator.ShardDir(s), CheckpointStoreOptions(), &shard_recovery[si]);
+    StoreRecovery recovery;
+    Result<DurableStore> store =
+        DurableStore::Resume(coordinator.ShardDir(s), CheckpointStoreOptions(), &recovery);
     if (!store.ok()) return store.status();
+    // WAL truncation waits for every shard to fold, so each snapshot's epoch
+    // (an absent key reads as 0) lies within the WAL's span.
+    const JsonValue& meta = recovery.meta;
+    if (!meta.is_null() && !meta.is_object()) {
+      return DataLossError(StrFormat("shard %d manifest meta is not an object", s));
+    }
+    Result<int64_t> epoch =
+        ReadStrictInt(meta.Has("epoch") ? meta.Get("epoch") : JsonValue::Int(0),
+                      StrFormat("shard %d snapshot epoch", s), wal_base, final_epoch);
+    if (!epoch.ok()) return epoch.status();
+    snapshot_epoch[si] = *epoch;
     OnlineParams shard_params;
-    FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(shard_recovery[si], &shard_params,
-                                                 &shard_offers[si], &window));
+    FLEXVIS_RETURN_IF_ERROR(
+        DecodeOnlineSnapshot(recovery, &shard_params, &shard_offers[si], &window));
     Result<std::unique_ptr<Shard>> made = coordinator.NewShard(s, shard_params);
     if (!made.ok()) return made.status();
     std::unique_ptr<Shard> shard = *std::move(made);
     Result<OnlineLoopState> state = shard->enterprise.Begin(shard_offers[si], window);
     if (!state.ok()) return state.status();
     shard->state = *std::move(state);
-    auto folded = shard_recovery[si].files.find(kCheckpointStateFile);
-    if (folded != shard_recovery[si].files.end()) {
+    auto folded = recovery.files.find(kCheckpointStateFile);
+    if (folded != recovery.files.end()) {
       Result<OnlineTickRecord> fold = DecodeTickRecord(folded->second);
       if (!fold.ok()) return fold.status();
       if (!fold->folded) {
@@ -1333,56 +1223,18 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       }
       shard->applied.push_back(*std::move(fold));
     }
-    shard->store = *std::move(store);
-    coordinator.shards_.push_back(std::move(shard));
-  }
-
-  // Parse every shard's WAL records up front and take a migration inventory:
-  // for each epoch, which side(s) survived the crash. A migrate_in whose
-  // migrate_out is nowhere and is not covered by base_epoch is impossible
-  // under the durability order (out flushes first) — the directory is
-  // corrupt, not crashed.
-  struct MigrationSides {
-    bool has_out = false;
-    bool has_in = false;
-    core::ProsumerId prosumer = core::kInvalidProsumerId;
-    int from = 0;
-  };
-  std::map<int64_t, MigrationSides> inventory;
-  std::vector<std::deque<ReplayedRecord>> queues(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    const size_t si = static_cast<size_t>(s);
-    for (const std::string& payload : shard_recovery[si].records) {
-      Result<ReplayedRecord> record = ParseJournalRecord(payload);
+    for (const std::string& payload : recovery.records) {
+      Result<OnlineTickRecord> record = DecodeTickRecord(payload);
       if (!record.ok()) return record.status();
-      if (record->is_migration) {
-        const MigrationRecord& migration = record->migration;
-        if (migration.from < 0 || migration.from >= n || migration.to < 0 ||
-            migration.to >= n || migration.from == migration.to) {
-          return DataLossError(StrFormat(
-              "migration record for prosumer %lld names shards %d -> %d outside the "
-              "%d-shard fleet",
-              static_cast<long long>(migration.prosumer), migration.from, migration.to, n));
-        }
-        MigrationSides& sides = inventory[migration.epoch];
-        (migration.is_in ? sides.has_in : sides.has_out) = true;
-        sides.prosumer = migration.prosumer;
-        sides.from = migration.from;
-      }
       queues[si].push_back(*std::move(record));
     }
     if (info != nullptr) {
-      info->shards[si].torn_tail = shard_recovery[si].torn_tail;
-      info->shards[si].torn_bytes = shard_recovery[si].torn_bytes;
-      info->shards[si].generation = shard_recovery[si].generation;
+      info->shards[si].torn_tail = recovery.torn_tail;
+      info->shards[si].torn_bytes = recovery.torn_bytes;
+      info->shards[si].generation = recovery.generation;
     }
-  }
-  for (const auto& [epoch, sides] : inventory) {
-    if (sides.has_in && !sides.has_out && epoch > base_epoch) {
-      return DataLossError(
-          StrFormat("migrate_in for prosumer %lld has no matching migrate_out",
-                    static_cast<long long>(sides.prosumer)));
-    }
+    shard->store = *std::move(store);
+    coordinator.shards_.push_back(std::move(shard));
   }
 
   // Rebuild the global offer list in its original input order. Shards on
@@ -1390,7 +1242,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // source's pre-migration snapshot and the target's compacted one); that is
   // benign exactly when the copies are byte-identical. Offers missing from
   // every snapshot (migrated into a shard whose fold never committed) are
-  // recovered from migrate_in payloads.
+  // recovered from the migration records.
   std::map<core::FlexOfferId, FlexOffer> by_id;
   const auto collect = [&by_id](const FlexOffer& offer, const char* source) -> Status {
     auto [it, inserted] = by_id.emplace(offer.id, offer);
@@ -1405,12 +1257,9 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       FLEXVIS_RETURN_IF_ERROR(collect(offer, "a shard snapshot"));
     }
   }
-  for (const std::deque<ReplayedRecord>& queue : queues) {
-    for (const ReplayedRecord& record : queue) {
-      if (!record.is_migration || !record.migration.is_in) continue;
-      for (const FlexOffer& offer : record.migration.offers) {
-        FLEXVIS_RETURN_IF_ERROR(collect(offer, "a migrate_in payload"));
-      }
+  for (const MigrationRecord& record : migrations) {
+    for (const FlexOffer& offer : record.moved.offers) {
+      FLEXVIS_RETURN_IF_ERROR(collect(offer, "a migration record"));
     }
   }
   // The snapshots already carry per-shard (scaled) parameters; nothing below
@@ -1451,180 +1300,97 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     return DataLossError("shard snapshots hold offers missing from offer_order");
   }
 
-  // Seed the router as of base_epoch, the point the replay starts from: the
-  // manifest's overrides, except that a prosumer with migration records
-  // still in some journal starts on the `from` shard of its lowest-epoch
-  // record — replay re-assigns it move by move. Seeding its final shard
-  // instead would splice an early migration against a partition that
-  // already reflects a later one (a mover's offers missing from the shard
-  // whose history still holds them). The epoch starts at base_epoch too —
-  // migrations at or below it are baked into (some) snapshots and may have
-  // no journal records left to replay.
+  // Seed the router and the epoch as of the epoch before the first WAL
+  // migration record: the manifest's overrides, except that a prosumer the
+  // WAL moves starts on the `from` shard of its first record. The replay
+  // then re-assigns it move by move, so every splice sees the partition of
+  // its own epoch.
   for (const auto& [prosumer, shard] : manifest->overrides) {
     FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(prosumer, shard));
   }
   std::set<core::ProsumerId> seeded;
-  for (const auto& [epoch, sides] : inventory) {
-    if (seeded.insert(sides.prosumer).second) {
-      FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(sides.prosumer, sides.from));
+  for (const MigrationRecord& record : migrations) {
+    if (seeded.insert(record.prosumer).second) {
+      FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(record.prosumer, record.from));
     }
   }
-  coordinator.epoch_ = base_epoch;
-  coordinator.base_epoch_ = base_epoch;
-
+  coordinator.epoch_ = wal_base;
   coordinator.begun_ = true;
   coordinator.checkpointed_ = true;
 
-  // Lockstep replay. Shards recovered to different generations start at
-  // different ticks, so migration records do not surface in the same round;
-  // a shard that has surfaced a migration record STALLS (applies no further
-  // ticks) until the record resolves:
-  //   - paired with its counterpart from the other shard's queue -> splice
-  //     both shards;
-  //   - counterpart compacted away (epoch at or below base_epoch) -> the
-  //     other shard's snapshot already carries the migration; splice only
-  //     the surfacing shard;
-  //   - lone migrate_out above base_epoch whose target queue is exhausted ->
-  //     the crash hit between the two flushes; complete the migration by
-  //     synthesizing and journaling the migrate_in, then commit.
-  // Per-tick load samples reconstructed during replay. Ticks at or below the
-  // manifest's controller state were already observed live; everything after
-  // is fed to the controller once replay settles, so its trend state crosses
-  // the crash byte-identically.
+  // Replay. Per-tick load samples are reconstructed on the way: ticks at or
+  // below the manifest's controller state were already observed live, and
+  // everything after is fed to the controller once replay settles, so its
+  // trend state crosses the crash byte-identically.
   std::map<int64_t, std::vector<std::optional<ShardLoadSample>>> samples;
-  struct PendingMigration {
-    int shard = 0;  // the shard whose journal surfaced the record
-    MigrationRecord record;
-  };
-  std::vector<PendingMigration> pending_in;
-  std::vector<PendingMigration> pending_out;
   std::vector<bool> missed_compaction(static_cast<size_t>(n), false);
-  for (;;) {
-    bool progressed = false;
-
-    for (int s = 0; s < n; ++s) {
-      std::deque<ReplayedRecord>& queue = queues[static_cast<size_t>(s)];
-      while (!queue.empty() && queue.front().is_migration) {
-        MigrationRecord record = std::move(queue.front().migration);
-        queue.pop_front();
-        progressed = true;
-        if (record.is_in) {
-          if (record.to != s) {
-            return DataLossError("migrate_in found in a journal it does not name as target");
-          }
-          pending_in.push_back({s, std::move(record)});
-        } else {
-          if (record.from != s) {
-            return DataLossError(
-                "migrate_out found in a journal it does not name as source");
-          }
-          pending_out.push_back({s, std::move(record)});
-        }
-      }
-    }
-
-    // Commit migrations in epoch order as their records pair up.
-    std::sort(pending_in.begin(), pending_in.end(), [](const auto& a, const auto& b) {
-      return a.record.epoch < b.record.epoch;
-    });
-    for (auto it = pending_in.begin(); it != pending_in.end();) {
-      const MigrationRecord& record = it->record;
-      auto match = std::find_if(pending_out.begin(), pending_out.end(),
-                                [&](const PendingMigration& out) {
-                                  return out.record.prosumer == record.prosumer &&
-                                         out.record.epoch == record.epoch;
-                                });
-      if (match != pending_out.end()) {
-        pending_out.erase(match);
-        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, true, true));
-        if (info != nullptr) ++info->migrations_replayed;
-        it = pending_in.erase(it);
-        progressed = true;
-      } else if (!inventory[record.epoch].has_out) {
-        // The migrate_out was compacted away with the source's old WAL
-        // (epoch <= base_epoch, verified above): the source snapshot already
-        // excludes the prosumer; splice only this target shard.
-        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, false, true));
-        if (info != nullptr) ++info->migrations_replayed;
-        it = pending_in.erase(it);
-        progressed = true;
-      } else {
-        ++it;  // the out exists in some queue; keep draining until it surfaces
-      }
-    }
-    for (auto it = pending_out.begin(); it != pending_out.end();) {
-      const MigrationRecord& record = it->record;
-      if (inventory[record.epoch].has_in) {
-        ++it;  // the in exists in some queue; it will pair above
-        continue;
-      }
-      if (record.epoch <= base_epoch) {
-        // The migrate_in was compacted away with the target's old WAL: the
-        // target snapshot already includes the prosumer; splice the source.
-        FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, true, false));
-        if (info != nullptr) ++info->migrations_replayed;
-        it = pending_out.erase(it);
-        progressed = true;
-        continue;
-      }
-      if (!queues[static_cast<size_t>(record.to)].empty()) {
-        ++it;  // target still replaying its pre-boundary ticks
-        continue;
-      }
-      // Lone migrate_out above base_epoch: the crash hit between the two
-      // flushes. Re-journal the migrate_in, then commit.
-      MigrationRecord in = record;
-      in.is_in = true;
-      in.offers = MovedFromRecord(record, coordinator.offers_).offers;
-      Shard& target = *coordinator.shards_[static_cast<size_t>(in.to)];
-      FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
-      FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
-      FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(in, true, true));
-      if (info != nullptr) ++info->migrations_repaired;
-      it = pending_out.erase(it);
-      progressed = true;
-    }
-
-    for (int s = 0; s < n; ++s) {
-      std::deque<ReplayedRecord>& queue = queues[static_cast<size_t>(s)];
-      if (queue.empty() || queue.front().is_migration) continue;
-      const auto stalled = [s](const PendingMigration& p) { return p.shard == s; };
-      if (std::any_of(pending_in.begin(), pending_in.end(), stalled) ||
-          std::any_of(pending_out.begin(), pending_out.end(), stalled)) {
-        continue;  // this shard's next records postdate its unresolved migration
-      }
-      Shard& shard = *coordinator.shards_[static_cast<size_t>(s)];
-      OnlineTickRecord record = std::move(queue.front().tick);
-      queue.pop_front();
+  const auto advance = [&](int s, int64_t below_tick) -> Status {
+    const size_t si = static_cast<size_t>(s);
+    Shard& shard = *coordinator.shards_[si];
+    for (; !queues[si].empty() && queues[si].front().tick < below_tick; queues[si].pop_front()) {
+      OnlineTickRecord& record = queues[si].front();
       FLEXVIS_RETURN_IF_ERROR(shard.enterprise.Apply(shard.state, record));
       if (coordinator.controller_ != nullptr) {
         std::vector<std::optional<ShardLoadSample>>& row = samples[record.tick];
         row.resize(static_cast<size_t>(n));
-        row[static_cast<size_t>(s)] = LoadSample(shard.state);
+        row[si] = LoadSample(shard.state);
       }
       // A boundary tick surviving in the WAL means this shard's fold at that
       // boundary never committed — remembered for the catch-up compaction.
       if (const int compact_ticks = coordinator.params_.online.compact_ticks;
           compact_ticks > 0 && (record.tick + 1) % compact_ticks == 0) {
-        missed_compaction[static_cast<size_t>(s)] = true;
+        missed_compaction[si] = true;
       }
       shard.applied.push_back(std::move(record));
-      if (info != nullptr) ++info->shards[static_cast<size_t>(s)].ticks_replayed;
-      progressed = true;
+      if (info != nullptr) ++info->shards[si].ticks_replayed;
     }
-    if (!progressed) break;
+    return OkStatus();
+  };
+  // Migrations in epoch order. A record is spliced into each side whose
+  // snapshot predates it, after that side has replayed its journal ticks
+  // below the record's boundary; a side whose snapshot epoch covers the
+  // record folded it already and only the router and epoch move.
+  for (const MigrationRecord& record : migrations) {
+    const bool source = record.epoch > snapshot_epoch[static_cast<size_t>(record.from)];
+    const bool target = record.epoch > snapshot_epoch[static_cast<size_t>(record.to)];
+    if (source) FLEXVIS_RETURN_IF_ERROR(advance(record.from, record.tick));
+    if (target) FLEXVIS_RETURN_IF_ERROR(advance(record.to, record.tick));
+    FLEXVIS_RETURN_IF_ERROR(coordinator.ReplayMigration(record, source, target));
+    if (info != nullptr) ++info->migrations_replayed;
   }
-  if (!pending_in.empty() || !pending_out.empty()) {
-    return DataLossError("unresolved migration records after journal replay");
+  // Each shard now holds exactly what the replayed partition assigns it; a
+  // manifest whose overrides disagree with the snapshots is corrupt.
+  for (int s = 0; s < n; ++s) {
+    FLEXVIS_RETURN_IF_ERROR(advance(s, std::numeric_limits<int64_t>::max()));
+    const std::vector<FlexOffer>& held =
+        coordinator.shards_[static_cast<size_t>(s)]->state.report.offers;
+    const std::vector<FlexOffer> assigned = SubsetFor(coordinator.router_, coordinator.offers_, s);
+    if (!std::equal(held.begin(), held.end(), assigned.begin(), assigned.end(),
+                    [](const FlexOffer& a, const FlexOffer& b) { return a.id == b.id; })) {
+      return DataLossError(
+          StrFormat("shard %d holds offers its manifest partition does not assign it", s));
+    }
   }
 
-  // The journals are authoritative for the assignment epoch; a manifest that
-  // lags them (crash between a migration's flushes and its manifest rewrite)
-  // is refreshed before the run continues.
-  if (coordinator.epoch_ != manifest->epoch ||
-      coordinator.router_.overrides() != manifest->overrides) {
-    FLEXVIS_RETURN_IF_ERROR(coordinator.WriteCoordinatorManifest());
-    if (info != nullptr) info->manifest_rewritten = true;
+  // Every named store, the coordinator WAL and the replay have passed their
+  // checks; only now are shard directories the manifest does not name swept.
+  // A crash mid-resize leaves either staged new-topology directories (the
+  // manifest flip never happened) or the old topology's directories (the
+  // flip happened but the destroy did not finish). Either way, only the
+  // manifest's topology is live — and the sweep precedes plan
+  // reconciliation, which may stage the next topology itself.
+  {
+    std::set<std::string> expected;
+    for (int s = 0; s < n; ++s) expected.insert(ShardDirName(coordinator.topology_, s));
+    std::error_code ec;
+    for (const fs::directory_entry& entry : fs::directory_iterator(directory, ec)) {
+      if (!entry.is_directory()) continue;
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(kShardDirPrefix, 0) != 0 || expected.count(name) != 0) continue;
+      FLEXVIS_RETURN_IF_ERROR(
+          DurableStore::Destroy(entry.path().string(), CheckpointStoreOptions()));
+      if (info != nullptr) ++info->stale_shard_dirs_swept;
+    }
   }
 
   // Re-feed the controller the replayed ticks (its manifest state stops at
@@ -1657,28 +1423,6 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       std::optional<RebalanceDecision> decision =
           coordinator.controller_->Observe(t, tick_samples);
       if (decision.has_value() && t == min_last) pending_decision = decision;
-    }
-  }
-  std::vector<RebalancePlan> wal_plans;
-  std::set<int64_t> done_ids;
-  for (const std::string& payload : coord_recovery.records) {
-    Result<JsonValue> json = JsonValue::Parse(payload);
-    if (!json.ok() || !json->is_object()) {
-      return DataLossError("coordinator WAL record is not a JSON object");
-    }
-    Result<std::string> kind = json->GetString("kind");
-    if (!kind.ok()) return DataLossError("coordinator WAL record lacks a kind");
-    if (*kind == "plan") {
-      Result<RebalancePlan> plan = DecodeRebalancePlan(*json);
-      if (!plan.ok()) return plan.status();
-      wal_plans.push_back(*std::move(plan));
-    } else if (*kind == "plan_done") {
-      Result<int64_t> id = json->GetInt("id");
-      if (!id.ok()) return DataLossError("plan_done record lacks an id");
-      done_ids.insert(*id);
-    } else {
-      return DataLossError(
-          StrFormat("coordinator WAL record of unknown kind '%s'", kind->c_str()));
     }
   }
   for (const RebalancePlan& plan : wal_plans) {

@@ -42,22 +42,30 @@ namespace flexvis::sim {
 ///
 ///   COORDINATOR.json      the coordinator's util/store manifest (a zero-file
 ///                         generation whose `meta` carries num_shards, policy,
-///                         epoch, base_epoch, migration overrides, and the
-///                         global offer order) — written atomically, last at
-///                         Begin (the run's commit point) and again after
-///                         every committed migration and at every compaction
+///                         epoch, migration overrides, controller state and
+///                         the global offer order) — written atomically, last
+///                         at Begin (the run's commit point), at every
+///                         compaction and at every resize
+///   coordinator.wal       the coordinator WAL: one self-contained record per
+///                         committed migration (prosumer, from, to, epoch,
+///                         boundary tick and the whole moved state) plus the
+///                         rebalance-plan records
 ///   shard-0000/           one sim/checkpoint store per shard
 ///   shard-0001/ ...       (meta.json, offers.jsonl, state.json for compacted
-///                         generations, SNAPSHOT.json, journal.wal)
+///                         generations, SNAPSHOT.json whose `meta` holds the
+///                         epoch the snapshot reflects, journal.wal of tick
+///                         records only)
 ///
-/// Compaction (OnlineParams::compact_ticks = C > 0) runs at every global tick
-/// boundary divisible by C: the coordinator first advances `base_epoch` to
-/// the current epoch in COORDINATOR.json, then folds every shard's journal
-/// into a new store generation whose offers.jsonl reflects the *current*
-/// router partition (committed migrations baked in). A recovery that finds a
-/// migration record at or below base_epoch whose counterpart record was
-/// compacted away therefore knows the counterpart shard's snapshot already
-/// reflects that migration.
+/// A migration commits with one WAL append and one flush. Recovery walks the
+/// WAL's migration records in epoch order and splices each into every side
+/// whose snapshot epoch is below the record's; a side folded after the
+/// migration already reflects it. Compaction (OnlineParams::compact_ticks =
+/// C > 0) runs at every global tick boundary divisible by C: it commits the
+/// controller's trend state (when a controller runs), folds every shard's
+/// journal into a new store generation whose offers.jsonl reflects the
+/// *current* router partition and whose meta records the current epoch, and
+/// only then truncates the coordinator WAL — a shard that has not folded yet
+/// still needs its records.
 inline constexpr const char* kCoordinatorManifestFile = "COORDINATOR.json";
 inline constexpr const char* kShardDirPrefix = "shard-";
 
@@ -94,19 +102,19 @@ struct CoordinatorParams {
 /// ingested offer (FailedPrecondition naming every one of them); kAllowActive
 /// also moves mid-flight state (ingested-arrival positions, pending-queue
 /// entries, decided offer states with schedules), which travels inside the
-/// migrate_out/migrate_in records.
+/// migration record.
 enum class MigrationMode {
   kIdleOnly = 0,
   kAllowActive,
 };
 
 /// Mid-flight state of a set of offers: one prosumer's, the payload a
-/// migration moves between shards (journaled inside the migrate_out/
-/// migrate_in records; empty apart from `offers` for an idle prosumer), or a
-/// whole shard's, which a resize splices into the new fleet.
+/// migration moves between shards (journaled inside the migration record;
+/// empty apart from `offers` for an idle prosumer), or a whole shard's, which
+/// a resize splices into the new fleet.
 struct MigratedState {
   /// The prosumer's offers, verbatim input copies in global input order
-  /// (migrate_in records carry them so the record is self-contained).
+  /// (the migration record carries them so it is self-contained).
   std::vector<core::FlexOffer> offers;
   /// Offers already past the source's arrival cursor, in source arrival
   /// order (ingested or dropped at the ingest seam).
@@ -123,8 +131,8 @@ struct MigratedState {
   bool idle() const { return consumed.empty(); }
 };
 
-/// One side of a journaled migration (migrate_out or migrate_in); the codec
-/// lives in coordinator.cc.
+/// A committed migration as the coordinator WAL holds it; the codec lives in
+/// coordinator.cc.
 struct MigrationRecord;
 
 /// The coordinator's merged view of one sharded run.
@@ -149,14 +157,9 @@ struct MergedOnlineReport {
 /// Observability of a sharded recovery.
 struct ShardResumeInfo {
   std::vector<ResumeInfo> shards;
-  /// Committed migrations reconstructed from the journals.
+  /// Migration records walked in the coordinator WAL (those every shard had
+  /// folded included; compaction truncates them).
   int migrations_replayed = 0;
-  /// migrate_out records whose migrate_in was lost to the crash; the resume
-  /// completed them (synthesizing the migrate_in) before continuing.
-  int migrations_repaired = 0;
-  /// True when COORDINATOR.json lagged the journals (crash between a
-  /// migration's journal flushes and its manifest rewrite) and was rewritten.
-  bool manifest_rewritten = false;
   /// Rebalance plans whose journaled record had no completion marker: the
   /// resume finished their remaining steps (or re-committed the resize).
   int plans_completed = 0;
@@ -216,10 +219,11 @@ class Coordinator {
   /// when the shards are not at a common tick, or when the new membership
   /// would reorder a shard's consumed history). Under kIdleOnly the prosumer
   /// must be idle (FailedPrecondition naming *every* already-ingested offer
-  /// id otherwise). Durable order when checkpointed: migrate_out (source
-  /// journal), migrate_in carrying the offer payload (target journal), then
-  /// the new assignment epoch in COORDINATOR.json. NotFound when the prosumer
-  /// owns no offers; InvalidArgument when already on `to_shard`.
+  /// id otherwise). When checkpointed the migration commits with exactly one
+  /// durable write: one self-contained record appended to the coordinator
+  /// WAL and flushed (no shard journal or COORDINATOR.json write). NotFound
+  /// when the prosumer owns no offers; InvalidArgument when already on
+  /// `to_shard`.
   Status MigrateProsumer(core::ProsumerId prosumer, int to_shard,
                          MigrationMode mode = MigrationMode::kIdleOnly);
 
@@ -252,13 +256,15 @@ class Coordinator {
       const timeutil::TimeInterval& window, const std::string& directory);
 
   /// Recovers a sharded run from `directory`: reads COORDINATOR.json
-  /// (kDataLoss when absent — the run never committed; rerun from inputs),
-  /// loads every shard snapshot, replays every shard journal in lockstep —
-  /// reconstructing committed migrations in order, repairing a migration
-  /// whose migrate_in was lost to the crash, truncating torn tails — then
-  /// resumes all shards to a consistent epoch, continues the remaining
-  /// ticks, and returns the merged report, byte-identical to an
-  /// uninterrupted run.
+  /// (kDataLoss when absent — the run never committed; rerun from inputs)
+  /// and the coordinator WAL, loads every shard snapshot (torn journal tails
+  /// truncated), walks the WAL's migration records in epoch order — each
+  /// side whose snapshot predates a record replays its journal up to the
+  /// record's boundary and is spliced — then replays the remaining ticks,
+  /// sweeps shard directories the manifest does not name, reconciles
+  /// rebalance plans, continues the remaining ticks, and returns the merged
+  /// report, byte-identical to an uninterrupted run. Nothing on disk is
+  /// deleted before every check has passed.
   static Result<MergedOnlineReport> ResumeSharded(const std::string& directory,
                                                   ShardResumeInfo* info = nullptr);
 
@@ -271,15 +277,12 @@ class Coordinator {
   static std::string ShardDirName(int topology, int shard);
   /// The coordinator state persisted as the COORDINATOR.json store meta.
   JsonValue CoordinatorMeta() const;
-  /// Recommits COORDINATOR.json (the coordinator store manifest) with the
-  /// current epoch/base_epoch/overrides — the atomic commit point for every
-  /// coordinator-level state change.
-  Status WriteCoordinatorManifest();
   /// Folds every shard's journal into a new store generation (current router
-  /// partition + folded tick record), advancing base_epoch first so recovery
-  /// can tell baked migrations from lost ones. `include`, when non-null,
-  /// restricts the fold to the flagged shards — the resume path's catch-up
-  /// for a compaction the crash interrupted partway through the shard list.
+  /// partition + folded tick record, the current epoch in its meta), then
+  /// truncates the coordinator WAL; with a controller, its trend state is
+  /// committed first. `include`, when non-null, restricts the fold to the
+  /// flagged shards — the resume path's catch-up for a compaction the crash
+  /// interrupted partway through the shard list.
   Status CompactShards(const std::vector<bool>* include = nullptr);
   /// The lowest next_tick across the fleet.
   int MinNextTick() const;
@@ -320,12 +323,11 @@ class Coordinator {
   /// Swaps a spliced state into shard `s`; its fold becomes the shard's whole
   /// applied history, as a compacted generation's state.json would.
   void Rebase(int s, OnlineTickRecord fold, OnlineLoopState state);
-  /// Resume-only: re-commits a journaled migration — assigns the override,
-  /// raises the epoch, and splices the sides named. A side is left alone
-  /// when its record was compacted away (epoch at or below base_epoch): its
-  /// snapshot already reflects the migration. The moved state is
-  /// re-extracted from the replayed source when the source is spliced, and
-  /// taken from the record otherwise.
+  /// Resume-only: re-commits a WAL migration record — assigns the override,
+  /// sets the epoch, and splices the record's moved state into the sides
+  /// named, each of which must have replayed to the record's tick (DataLoss
+  /// otherwise). A side is left alone when its snapshot epoch covers the
+  /// record: it folded the migration already.
   Status ReplayMigration(const MigrationRecord& record, bool splice_source,
                          bool splice_target);
 
@@ -347,9 +349,6 @@ class Coordinator {
   std::vector<core::FlexOffer> offers_;  // global input order
   timeutil::TimeInterval window_;
   int64_t epoch_ = 0;
-  /// Highest epoch whose migrations are baked into the shard snapshots (set
-  /// when compaction commits COORDINATOR.json before folding the shards).
-  int64_t base_epoch_ = 0;
   /// Number of committed split/merge resizes; names the shard directories.
   int topology_ = 0;
   /// The energy-model means before per-shard scaling, kept so a resize can

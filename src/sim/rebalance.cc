@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
+#include <utility>
 
 #include "sim/alerts.h"
 #include "sim/online.h"
@@ -11,13 +13,20 @@ namespace flexvis::sim {
 
 namespace {
 
-Status FirstError(std::initializer_list<const Status*> statuses, const char* what) {
+/// The first failed read's status, or OK.
+Status FirstError(std::initializer_list<const Status*> statuses) {
   for (const Status* status : statuses) {
-    if (!status->ok()) {
-      return DataLossError(StrFormat("%s is incomplete: %s", what, status->message().c_str()));
-    }
+    if (!status->ok()) return *status;
   }
   return OkStatus();
+}
+
+/// ReadStrictInt over the range of an int field.
+Result<int> ReadInt(const JsonValue& value, const char* what) {
+  Result<int64_t> read = ReadStrictInt(value, what, std::numeric_limits<int>::min(),
+                                       std::numeric_limits<int>::max());
+  if (!read.ok()) return read.status();
+  return static_cast<int>(*read);
 }
 
 }  // namespace
@@ -37,28 +46,24 @@ JsonValue EncodeRebalanceParams(const RebalanceParams& params) {
 
 Result<RebalanceParams> DecodeRebalanceParams(const JsonValue& value) {
   if (!value.is_object()) return DataLossError("rebalance params are not an object");
-  Result<int64_t> window = value.GetInt("window_ticks");
-  Result<int64_t> depth = value.GetInt("queue_depth_threshold");
-  Result<int64_t> cooldown = value.GetInt("cooldown_ticks");
-  Result<int64_t> max_moves = value.GetInt("max_moves");
-  Result<bool> allow_resize = value.GetBool("allow_resize");
-  Result<int64_t> min_shards = value.GetInt("min_shards");
-  Result<int64_t> max_shards = value.GetInt("max_shards");
-  Result<int64_t> merge_window = value.GetInt("merge_window_ticks");
-  FLEXVIS_RETURN_IF_ERROR(FirstError(
-      {&window.status(), &depth.status(), &cooldown.status(), &max_moves.status(),
-       &allow_resize.status(), &min_shards.status(), &max_shards.status(),
-       &merge_window.status()},
-      "rebalance params"));
   RebalanceParams params;
-  params.window_ticks = static_cast<int>(*window);
-  params.queue_depth_threshold = static_cast<int>(*depth);
-  params.cooldown_ticks = static_cast<int>(*cooldown);
-  params.max_moves = static_cast<int>(*max_moves);
+  const std::pair<const char*, int*> ints[] = {
+      {"window_ticks", &params.window_ticks},
+      {"queue_depth_threshold", &params.queue_depth_threshold},
+      {"cooldown_ticks", &params.cooldown_ticks},
+      {"max_moves", &params.max_moves},
+      {"min_shards", &params.min_shards},
+      {"max_shards", &params.max_shards},
+      {"merge_window_ticks", &params.merge_window_ticks},
+  };
+  for (const auto& [key, field] : ints) {
+    Result<int> read = ReadInt(value.Get(key), key);
+    if (!read.ok()) return read.status();
+    *field = *read;
+  }
+  Result<bool> allow_resize = value.GetBool("allow_resize");
+  if (!allow_resize.ok()) return DataLossError("rebalance params lack 'allow_resize'");
   params.allow_resize = *allow_resize;
-  params.min_shards = static_cast<int>(*min_shards);
-  params.max_shards = static_cast<int>(*max_shards);
-  params.merge_window_ticks = static_cast<int>(*merge_window);
   return params;
 }
 
@@ -103,35 +108,28 @@ JsonValue EncodeRebalancePlan(const RebalancePlan& plan) {
 
 Result<RebalancePlan> DecodeRebalancePlan(const JsonValue& value) {
   if (!value.is_object()) return DataLossError("rebalance plan is not an object");
-  Result<int64_t> id = value.GetInt("id");
-  Result<int64_t> tick = value.GetInt("tick");
+  Result<int64_t> id = ReadStrictInt(value.Get("id"), "plan id");
+  Result<int64_t> tick = ReadStrictInt(value.Get("tick"), "plan tick");
+  Result<int> new_num_shards = ReadInt(value.Get("new_num_shards"), "plan new_num_shards");
   Result<std::string> action_name = value.GetString("action");
-  Result<int64_t> new_num_shards = value.GetInt("new_num_shards");
-  FLEXVIS_RETURN_IF_ERROR(FirstError({&id.status(), &tick.status(), &action_name.status(),
-                                      &new_num_shards.status()},
-                                     "rebalance plan"));
+  FLEXVIS_RETURN_IF_ERROR(FirstError({&id.status(), &tick.status(), &new_num_shards.status()}));
+  if (!action_name.ok()) return DataLossError("rebalance plan lacks an 'action'");
   Result<RebalancePlan::Action> action = ParseRebalanceAction(*action_name);
   if (!action.ok()) return action.status();
   RebalancePlan plan;
   plan.id = *id;
   plan.tick = *tick;
   plan.action = *action;
-  plan.new_num_shards = static_cast<int>(*new_num_shards);
+  plan.new_num_shards = *new_num_shards;
   const JsonValue& moves = value.Get("moves");
   if (!moves.is_array()) return DataLossError("rebalance plan 'moves' is not an array");
   for (size_t i = 0; i < moves.size(); ++i) {
     const JsonValue& entry = moves[i];
-    if (!entry.is_object()) return DataLossError("rebalance move is not an object");
-    Result<int64_t> prosumer = entry.GetInt("prosumer");
-    Result<int64_t> from = entry.GetInt("from");
-    Result<int64_t> to = entry.GetInt("to");
-    FLEXVIS_RETURN_IF_ERROR(
-        FirstError({&prosumer.status(), &from.status(), &to.status()}, "rebalance move"));
-    RebalanceMove move;
-    move.prosumer = *prosumer;
-    move.from = static_cast<int>(*from);
-    move.to = static_cast<int>(*to);
-    plan.moves.push_back(move);
+    Result<int64_t> prosumer = ReadStrictInt(entry.Get("prosumer"), "move prosumer");
+    Result<int> from = ReadInt(entry.Get("from"), "move from");
+    Result<int> to = ReadInt(entry.Get("to"), "move to");
+    FLEXVIS_RETURN_IF_ERROR(FirstError({&prosumer.status(), &from.status(), &to.status()}));
+    plan.moves.push_back({*prosumer, *from, *to});
   }
   return plan;
 }
@@ -280,17 +278,13 @@ JsonValue RebalanceController::EncodeState() const {
 
 Status RebalanceController::DecodeState(const JsonValue& state) {
   if (!state.is_object()) return DataLossError("controller state is not an object");
-  Result<int64_t> next_plan_id = state.GetInt("next_plan_id");
-  Result<int64_t> cooldown = state.GetInt("cooldown");
-  Result<int64_t> idle_streak = state.GetInt("idle_streak");
-  Result<int64_t> last_observed = state.GetInt("last_observed_tick");
+  Result<int64_t> next_plan_id = ReadStrictInt(state.Get("next_plan_id"), "next_plan_id");
+  Result<int> cooldown = ReadInt(state.Get("cooldown"), "cooldown");
+  Result<int> idle_streak = ReadInt(state.Get("idle_streak"), "idle_streak");
+  Result<int64_t> last_observed =
+      ReadStrictInt(state.Get("last_observed_tick"), "last_observed_tick");
   FLEXVIS_RETURN_IF_ERROR(FirstError({&next_plan_id.status(), &cooldown.status(),
-                                      &idle_streak.status(), &last_observed.status()},
-                                     "controller state"));
-  next_plan_id_ = *next_plan_id;
-  cooldown_ = static_cast<int>(*cooldown);
-  idle_streak_ = static_cast<int>(*idle_streak);
-  last_observed_tick_ = *last_observed;
+                                      &idle_streak.status(), &last_observed.status()}));
   const JsonValue& streaks = state.Get("streak");
   const JsonValue& sheds = state.Get("prev_shed");
   if (!streaks.is_array() || !sheds.is_array() ||
@@ -298,10 +292,21 @@ Status RebalanceController::DecodeState(const JsonValue& state) {
       sheds.size() != static_cast<size_t>(num_shards_)) {
     return DataLossError(StrFormat("controller state does not cover %d shard(s)", num_shards_));
   }
-  for (int s = 0; s < num_shards_; ++s) {
-    streak_[s] = static_cast<int>(streaks[s].AsInt());
-    prev_shed_[s] = sheds[s].AsInt();
+  std::vector<int> streak(static_cast<size_t>(num_shards_));
+  std::vector<int64_t> prev_shed(static_cast<size_t>(num_shards_));
+  for (size_t s = 0; s < streak.size(); ++s) {
+    Result<int> count = ReadInt(streaks[s], "streak entry");
+    Result<int64_t> shed = ReadStrictInt(sheds[s], "prev_shed entry");
+    FLEXVIS_RETURN_IF_ERROR(FirstError({&count.status(), &shed.status()}));
+    streak[s] = *count;
+    prev_shed[s] = *shed;
   }
+  next_plan_id_ = *next_plan_id;
+  cooldown_ = *cooldown;
+  idle_streak_ = *idle_streak;
+  last_observed_tick_ = *last_observed;
+  streak_ = std::move(streak);
+  prev_shed_ = std::move(prev_shed);
   return OkStatus();
 }
 

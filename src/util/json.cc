@@ -78,6 +78,17 @@ Result<int64_t> JsonValue::GetInt(std::string_view key) const {
   return v.AsInt();
 }
 
+Result<int64_t> ReadStrictInt(const JsonValue& value, std::string_view what, int64_t lo,
+                              int64_t hi) {
+  if (!value.is_int() || value.AsInt() < lo || value.AsInt() > hi) {
+    return DataLossError(StrFormat("'%.*s' must be an integer in [%lld, %lld], got %s",
+                                   static_cast<int>(what.size()), what.data(),
+                                   static_cast<long long>(lo), static_cast<long long>(hi),
+                                   value.Dump().c_str()));
+  }
+  return value.AsInt();
+}
+
 Result<double> JsonValue::GetDouble(std::string_view key) const {
   const JsonValue& v = Get(key);
   if (!v.is_number()) {

@@ -2,6 +2,7 @@
 #define FLEXVIS_UTIL_JSON_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,6 +96,14 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON (quotes included in the output).
 std::string JsonEscape(std::string_view text);
+
+/// The strict integer read of persisted-state decoders: `value` must be a
+/// JSON integer in [lo, hi]. Anything else — absent (null), a double such as
+/// 2.9, a string, or 4294967297 where an int is expected — is DataLoss
+/// naming `what`. GetInt, by contrast, truncates doubles.
+Result<int64_t> ReadStrictInt(const JsonValue& value, std::string_view what,
+                              int64_t lo = std::numeric_limits<int64_t>::min(),
+                              int64_t hi = std::numeric_limits<int64_t>::max());
 
 }  // namespace flexvis
 

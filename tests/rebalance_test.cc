@@ -360,6 +360,53 @@ TEST(RebalancePlanTest, CodecRoundTripsAndRejectsGarbage) {
   EXPECT_EQ(round->window_ticks, params.window_ticks);
   EXPECT_EQ(sim::DecodeRebalanceParams(JsonValue::Object()).status().code(),
             StatusCode::kDataLoss);
+
+  // Integers are read strictly: a double is never truncated (2.9 -> 2) and a
+  // value past an int is never narrowed (4294967297 -> 1).
+  const JsonValue encoded_params = sim::EncodeRebalanceParams(params);
+  const JsonValue encoded_plan = sim::EncodeRebalancePlan(plan);
+  const auto with = [](JsonValue object, const char* key, JsonValue value) {
+    object.Set(key, std::move(value));
+    return object;
+  };
+  for (const JsonValue& bad : {JsonValue::Double(2.9), JsonValue::Int(4294967297LL),
+                               JsonValue::Str("3")}) {
+    EXPECT_EQ(sim::DecodeRebalanceParams(with(encoded_params, "window_ticks", bad))
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss)
+        << bad.Dump();
+    EXPECT_EQ(sim::DecodeRebalancePlan(with(encoded_plan, "new_num_shards", bad)).status().code(),
+              StatusCode::kDataLoss)
+        << bad.Dump();
+    JsonValue moves = JsonValue::Array();
+    moves.Append(with(encoded_plan.Get("moves")[0], "to", bad));
+    EXPECT_EQ(sim::DecodeRebalancePlan(with(encoded_plan, "moves", moves)).status().code(),
+              StatusCode::kDataLoss)
+        << bad.Dump();
+  }
+  EXPECT_EQ(sim::DecodeRebalancePlan(with(encoded_plan, "tick", JsonValue::Double(11.5)))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+
+  // The controller's trend state: a list entry that is no integer is never
+  // read as 0.
+  sim::RebalanceController controller(params, 2, Day());
+  const JsonValue state = controller.EncodeState();
+  ASSERT_TRUE(controller.DecodeState(state).ok());
+  JsonValue strings = JsonValue::Array();
+  strings.Append(JsonValue::Str("x"));
+  strings.Append(JsonValue::Str("y"));
+  JsonValue fractions = JsonValue::Array();
+  fractions.Append(JsonValue::Double(2.9));
+  fractions.Append(JsonValue::Int(0));
+  for (const JsonValue& bad : {with(state, "streak", strings), with(state, "streak", fractions),
+                               with(state, "prev_shed", strings),
+                               with(state, "cooldown", JsonValue::Double(2.9)),
+                               with(state, "idle_streak", JsonValue::Int(4294967297LL))}) {
+    EXPECT_EQ(controller.DecodeState(bad).code(), StatusCode::kDataLoss) << bad.Dump();
+  }
 }
 
 // ---- Coordinator-level rebalancing ------------------------------------------
@@ -585,9 +632,10 @@ TEST_F(RebalanceTest, ActiveMigrationMovesAMidFlightProsumerAndConserves) {
 
 TEST_F(RebalanceTest, ActiveMigrationCheckpointedResumeIsByteIdentical) {
   // Every sequence must resume to the uninterrupted run. The multi-move ones
-  // pin the router seeding: replay must start from the assignment as of
-  // base_epoch, not from the manifest's final overrides, or the first replayed
-  // splice builds a shard subset that already lacks a later mover's offers.
+  // pin the router seeding: replay must start from the assignment as of the
+  // epoch before the first WAL migration record, not from the final
+  // overrides, or the first replayed splice builds a shard subset that
+  // already lacks a later mover's offers.
   core::ProsumerId prosumer = EarliestProsumer();
   sim::ShardRouter router(2, sim::ShardPolicy::kHash);
   const int from = router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
@@ -634,7 +682,6 @@ TEST_F(RebalanceTest, ActiveMigrationCheckpointedResumeIsByteIdentical) {
     EXPECT_TRUE(resumed.ok()) << c.name << ": " << resumed.status().ToString();
     if (!resumed.ok()) continue;  // report every case, not just the first
     EXPECT_EQ(info.migrations_replayed, static_cast<int>(c.moves.size())) << c.name;
-    EXPECT_EQ(info.migrations_repaired, 0) << c.name;
     ExpectMergedEqual(*baseline, *resumed, c.name);
   }
 }
@@ -879,8 +926,11 @@ TEST_F(RebalanceTest, RebalancingKillMatrixConvergesToTheUninterruptedRun) {
       Result<sim::MergedOnlineReport> recovered =
           sim::Coordinator::ResumeSharded(dir, &info);
       if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
-        // The run never committed (crash before the coordinator manifest):
-        // nothing was promised; rerun from inputs.
+        // The run never committed (crash before the coordinator manifest, its
+        // commit point, landed): nothing was promised; rerun from inputs. Any
+        // later crash must recover.
+        ASSERT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+            << label << ": " << recovered.status().ToString();
         recovered = run(dir);
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
         ExpectMergedEqual(*baseline, *recovered, label + " (rerun)");
@@ -962,6 +1012,10 @@ TEST_F(RebalanceTest, ResizeKillMatrixConvergesToAConsistentTopology) {
       Result<sim::MergedOnlineReport> recovered =
           sim::Coordinator::ResumeSharded(dir, &info);
       if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+        // Only a run that never committed (no COORDINATOR.json, the commit
+        // point) may be refused.
+        ASSERT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+            << label << ": " << recovered.status().ToString();
         recovered = run(dir);  // never committed; rerun from inputs
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
         ExpectMergedEqual(*resized, *recovered, label + " (rerun)");

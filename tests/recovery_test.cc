@@ -153,6 +153,8 @@ class RecoveryTest : public ::testing::Test {
   sim::OnlineReport MustRecover(const std::string& dir, sim::ResumeInfo* info) {
     Result<sim::OnlineReport> report = Resume(dir, info);
     if (!report.ok() && report.status().code() == StatusCode::kDataLoss) {
+      EXPECT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+          << "a committed run was refused: " << report.status().ToString();
       return MustRun(dir);
     }
     EXPECT_TRUE(report.ok()) << report.status().ToString();

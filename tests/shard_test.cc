@@ -14,11 +14,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/messages.h"
@@ -158,13 +162,17 @@ class ShardTest : public ::testing::Test {
   }
 
   /// One checkpointed sharded run that migrates `prosumer` to `to_shard`
-  /// after `migrate_after_ticks` ticks. The shape the kill matrix exercises:
-  /// per-tick journal flushes, the two migration flushes, and the
+  /// after `migrate_after_ticks` ticks, compacting every `compact_ticks`
+  /// ticks (0: never). The shape the kill matrix exercises: per-tick journal
+  /// flushes, the migration record's flush, the compactions and the
   /// coordinator manifest writes all happen on this path.
   Result<sim::MergedOnlineReport> RunMigrating(
       const std::string& dir, int shards, core::ProsumerId prosumer, int to_shard,
-      int migrate_after_ticks, sim::MigrationMode mode = sim::MigrationMode::kIdleOnly) {
-    sim::Coordinator coordinator(Params(shards));
+      int migrate_after_ticks, sim::MigrationMode mode = sim::MigrationMode::kIdleOnly,
+      int compact_ticks = 0) {
+    sim::CoordinatorParams params = Params(shards);
+    params.online.compact_ticks = compact_ticks;
+    sim::Coordinator coordinator(params);
     FLEXVIS_RETURN_IF_ERROR(
         coordinator.BeginCheckpointed(workload_.offers, window_, dir));
     for (int i = 0; i < migrate_after_ticks && !coordinator.Done(); ++i) {
@@ -457,8 +465,6 @@ TEST_F(ShardTest, ResumeOfCompletedMigratedRunReplaysTheMigration) {
   Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(info.migrations_replayed, 1);
-  EXPECT_EQ(info.migrations_repaired, 0);
-  EXPECT_FALSE(info.manifest_rewritten);
   ASSERT_EQ(info.shards.size(), 2u);
   for (const sim::ResumeInfo& shard : info.shards) {
     EXPECT_EQ(shard.ticks_replayed, baseline->global.ticks);
@@ -475,40 +481,60 @@ TEST_F(ShardTest, ResumeRejectsAMigrationRecordNamingAShardOutsideTheFleet) {
   sim::ShardRouter router(2, sim::ShardPolicy::kHash);
   const int to = 1 - router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
                                             core::kInvalidGridNodeId);
-  std::string dir = Dir("corrupt_migration");
-  ASSERT_TRUE(RunMigrating(dir, 2, prosumer, to, kMigrateAfter).ok());
+  const std::string base = Dir("corrupt_migration");
+  ASSERT_TRUE(RunMigrating(base, 2, prosumer, to, kMigrateAfter).ok());
 
-  // Rewrite the target journal with its migrate_in naming shard 7 — outside
-  // the 2-shard fleet — as the source. Recovery must refuse it as corrupt,
-  // never index a shard that does not exist.
-  const std::string shard_dir =
-      (fs::path(dir) / StrFormat("%s%04d", sim::kShardDirPrefix, to)).string();
-  Result<StoreRecovery> recovery =
-      DurableStore::Recover(shard_dir, sim::CheckpointStoreOptions());
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  StoreFiles files;
-  for (const std::string& name : recovery->file_order) {
-    files.emplace_back(name, recovery->files.at(name));
-  }
-  Result<DurableStore> store =
-      DurableStore::Create(shard_dir, sim::CheckpointStoreOptions(), files, recovery->meta);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // Copies the run, rewrites one store in it (`store_dir`, relative to the
+  // run) with every WAL record passed through `edit`, and resumes the copy.
+  const auto resume_edited = [&](const std::string& store_dir, const StoreOptions& options,
+                                 const std::function<void(JsonValue*)>& edit) -> Status {
+    const std::string dir = Dir("corrupt_case");
+    fs::copy(base, dir, fs::copy_options::recursive);
+    const std::string path = (fs::path(dir) / store_dir).string();
+    Result<StoreRecovery> recovery = DurableStore::Recover(path, options);
+    if (!recovery.ok()) return recovery.status();
+    StoreFiles files;
+    for (const std::string& name : recovery->file_order) {
+      files.emplace_back(name, recovery->files.at(name));
+    }
+    Result<DurableStore> store = DurableStore::Create(path, options, files, recovery->meta);
+    if (!store.ok()) return store.status();
+    for (const std::string& text : recovery->records) {
+      Result<JsonValue> json = JsonValue::Parse(text);
+      if (!json.ok()) return json.status();
+      edit(&*json);
+      FLEXVIS_RETURN_IF_ERROR(store->Append(json->Dump()));
+    }
+    FLEXVIS_RETURN_IF_ERROR(store->Close());
+    return sim::Coordinator::ResumeSharded(dir).status();
+  };
+
+  // The coordinator WAL's migration record, rewritten to name shard 7 —
+  // outside the 2-shard fleet — as its source. Recovery must refuse it as
+  // corrupt, never index a shard that does not exist.
+  StoreOptions coordinator_options;
+  coordinator_options.manifest_name = sim::kCoordinatorManifestFile;
+  coordinator_options.journal_name = "coordinator.wal";
   int rewritten = 0;
-  for (const std::string& text : recovery->records) {
-    Result<JsonValue> json = JsonValue::Parse(text);
-    ASSERT_TRUE(json.ok());
-    if (json->Has("kind")) {
+  Status status = resume_edited(".", coordinator_options, [&rewritten](JsonValue* json) {
+    if (json->Get("kind") == JsonValue::Str("migration")) {
       json->Set("from", JsonValue::Int(7));
       ++rewritten;
     }
-    ASSERT_TRUE(store->Append(json->Dump()).ok());
-  }
-  ASSERT_TRUE(store->Close().ok());
-  ASSERT_EQ(rewritten, 1);
+  });
+  EXPECT_EQ(rewritten, 1);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
 
-  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss) << resumed.status().ToString();
+  // A shard journal holding a tagged record — the retired per-shard
+  // migration format — is corrupt too: shard journals hold tick records only.
+  bool tagged = false;
+  status = resume_edited(StrFormat("%s%04d", sim::kShardDirPrefix, to),
+                         sim::CheckpointStoreOptions(), [&tagged](JsonValue* json) {
+                           if (!tagged) json->Set("kind", JsonValue::Str("migrate"));
+                           tagged = true;
+                         });
+  ASSERT_TRUE(tagged);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
 }
 
 // ---- Coordinator kill matrix ------------------------------------------------
@@ -523,8 +549,8 @@ TEST_F(ShardTest, CoordinatorKillMatrixConvergesToAConsistentEpoch) {
                                           core::kInvalidGridNodeId);
   const int to = 1 - from;
 
-  // Two legitimate recovery outcomes, decided by whether the migration's
-  // migrate_out reached its journal before the crash: the migrated run
+  // Two legitimate recovery outcomes, decided by whether the migration
+  // record reached the coordinator WAL before the crash: the migrated run
   // (epoch 1) or the untouched run (epoch 0). Anything else — a half-applied
   // migration, a shard at the wrong tick — is a bug.
   Result<sim::MergedOnlineReport> migrated =
@@ -536,73 +562,87 @@ TEST_F(ShardTest, CoordinatorKillMatrixConvergesToAConsistentEpoch) {
   ASSERT_GT(migrated->global.ticks, 0);
 
   // The crash points on the coordinator's write path: "util.journal.flush"
-  // covers every shard's per-tick flush plus the two migration flushes;
+  // covers every shard's per-tick flush plus the migration record's flush;
   // "util.fileio.write" covers the shard snapshots and every COORDINATOR.json
-  // manifest write (at Begin and after the migration commits).
-  for (const char* point : {"util.journal.flush", "util.fileio.write"}) {
-    // Count the hits of one clean run by arming a never-failing config.
-    FaultRegistry::Global().Arm(point, FaultConfig{});
-    ASSERT_TRUE(
-        RunMigrating(Dir("count"), kShards, prosumer, to, kMigrateAfter).ok());
-    const int64_t hits = FaultRegistry::Global().Stats(point).hits;
-    FaultRegistry::Global().DisarmAll();
-    ASSERT_GT(hits, 0) << point << " is not on the coordinator write path";
+  // manifest write. Compaction is transparent, so one pair of baselines
+  // serves both cadences. At C = 3 the migration lands at the tick-3
+  // boundary after that boundary's fold, and crashes between the shard folds
+  // at tick 6 leave one side's snapshot past the migration and the other's
+  // before it.
+  for (const int compact_ticks : {0, 3}) {
+    const auto run = [&](const std::string& dir) {
+      return RunMigrating(dir, kShards, prosumer, to, kMigrateAfter,
+                          sim::MigrationMode::kIdleOnly, compact_ticks);
+    };
+    for (const char* point : {"util.journal.flush", "util.fileio.write"}) {
+      // Count the hits of one clean run by arming a never-failing config.
+      FaultRegistry::Global().Arm(point, FaultConfig{});
+      ASSERT_TRUE(run(Dir("count")).ok());
+      const int64_t hits = FaultRegistry::Global().Stats(point).hits;
+      FaultRegistry::Global().DisarmAll();
+      ASSERT_GT(hits, 0) << point << " is not on the coordinator write path";
 
-    for (int64_t hit = 1; hit <= hits; ++hit) {
-      const std::string label =
-          std::string(point) + " hit " + std::to_string(hit) + "/" + std::to_string(hits);
-      std::string dir = Dir("kill_" + std::to_string(hit) + point);
+      for (int64_t hit = 1; hit <= hits; ++hit) {
+        const std::string label = "C=" + std::to_string(compact_ticks) + " " + point + " hit " +
+                                  std::to_string(hit) + "/" + std::to_string(hits);
+        std::string dir = Dir("kill_" + std::to_string(hit) + point);
 
-      pid_t pid = fork();
-      if (pid == 0) {
-        FaultConfig config;
-        config.crash_at_hit = hit;
-        FaultRegistry::Global().Arm(point, config);
-        Result<sim::MergedOnlineReport> report =
-            RunMigrating(dir, kShards, prosumer, to, kMigrateAfter);
-        std::_Exit(report.ok() ? 0 : 1);
-      }
-      ASSERT_GT(pid, 0) << "fork failed";
-      int wstatus = 0;
-      ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-      ASSERT_TRUE(WIFEXITED(wstatus));
-      ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
-          << label << ": child did not crash where told to";
+        pid_t pid = fork();
+        if (pid == 0) {
+          FaultConfig config;
+          config.crash_at_hit = hit;
+          FaultRegistry::Global().Arm(point, config);
+          Result<sim::MergedOnlineReport> report = run(dir);
+          std::_Exit(report.ok() ? 0 : 1);
+        }
+        ASSERT_GT(pid, 0) << "fork failed";
+        int wstatus = 0;
+        ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+        ASSERT_TRUE(WIFEXITED(wstatus));
+        ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
+            << label << ": child did not crash where told to";
 
-      sim::ShardResumeInfo info;
-      Result<sim::MergedOnlineReport> recovered =
-          sim::Coordinator::ResumeSharded(dir, &info);
-      if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
-        // The run never committed (crash before the coordinator manifest):
-        // nothing was promised; rerun from inputs.
-        recovered = RunMigrating(dir, kShards, prosumer, to, kMigrateAfter);
+        sim::ShardResumeInfo info;
+        Result<sim::MergedOnlineReport> recovered =
+            sim::Coordinator::ResumeSharded(dir, &info);
+        if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+          // The run never committed (crash before the coordinator manifest, its
+          // commit point, landed): nothing was promised; rerun from inputs. Any
+          // later crash must recover.
+          ASSERT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+              << label << ": " << recovered.status().ToString();
+          recovered = run(dir);
+          ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
+          ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
+          continue;
+        }
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
-        ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
-        continue;
-      }
-      ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
 
-      // All shards resumed to one consistent epoch, and the whole run matches
-      // the baseline of whichever epoch recovery converged to.
-      if (recovered->epoch == 1) {
-        EXPECT_EQ(info.migrations_replayed + info.migrations_repaired, 1) << label;
-        ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
-      } else {
-        EXPECT_EQ(recovered->epoch, 0) << label;
-        ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
-      }
+        // All shards resumed to one consistent epoch, and the whole run matches
+        // the baseline of whichever epoch recovery converged to.
+        if (recovered->epoch == 1) {
+          // Compaction truncates the record once every shard has folded it.
+          if (compact_ticks == 0) {
+            EXPECT_EQ(info.migrations_replayed, 1) << label;
+          }
+          ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
+        } else {
+          EXPECT_EQ(recovered->epoch, 0) << label;
+          ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
+        }
 
-      // After recovery the journals are whole: a second resume replays
-      // everything and re-executes nothing.
-      sim::ShardResumeInfo again;
-      Result<sim::MergedOnlineReport> second =
-          sim::Coordinator::ResumeSharded(dir, &again);
-      ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
-      for (const sim::ResumeInfo& shard : again.shards) {
-        EXPECT_EQ(shard.ticks_replayed, recovered->global.ticks) << label;
-        EXPECT_EQ(shard.ticks_continued, 0) << label;
+        // After recovery the journals are whole: a second resume recovers
+        // every tick from snapshots and journals and re-executes nothing.
+        sim::ShardResumeInfo again;
+        Result<sim::MergedOnlineReport> second =
+            sim::Coordinator::ResumeSharded(dir, &again);
+        ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
+        for (const sim::ResumeInfo& shard : again.shards) {
+          EXPECT_EQ(shard.ticks_folded + shard.ticks_replayed, recovered->global.ticks) << label;
+          EXPECT_EQ(shard.ticks_continued, 0) << label;
+        }
+        ExpectMergedEqual(*recovered, *second, label + " (second resume)");
       }
-      ExpectMergedEqual(*recovered, *second, label + " (second resume)");
     }
   }
 }
@@ -611,8 +651,8 @@ TEST_F(ShardTest, ActiveMigrationKillMatrixConvergesToAConsistentEpoch) {
   const int kShards = 2;
   const int kMigrateAfter = 6;
   // The earliest-created offer's prosumer: certainly active (mid-flight
-  // state to transfer) by tick 6. Its migrate_out/migrate_in records carry
-  // the consumed-offer payload the recovery splice rebuilds from.
+  // state to transfer) by tick 6. Its migration record carries the moved
+  // state the recovery splice rebuilds from.
   const core::FlexOffer* earliest = &workload_.offers.front();
   for (const core::FlexOffer& offer : workload_.offers) {
     if (offer.creation_time < earliest->creation_time) earliest = &offer;
@@ -623,74 +663,85 @@ TEST_F(ShardTest, ActiveMigrationKillMatrixConvergesToAConsistentEpoch) {
                                           core::kInvalidGridNodeId);
   const int to = 1 - from;
 
-  auto run = [&](const std::string& dir) {
-    return RunMigrating(dir, kShards, prosumer, to, kMigrateAfter,
-                        sim::MigrationMode::kAllowActive);
-  };
   // Same two-outcome contract as the idle-migration matrix — the transferred
-  // mid-flight state must not add a third.
-  Result<sim::MergedOnlineReport> migrated = run(Dir("akill_base_mig"));
+  // mid-flight state must not add a third. At C = 3 the migration lands at
+  // the tick-6 boundary, after that boundary's fold.
+  Result<sim::MergedOnlineReport> migrated =
+      RunMigrating(Dir("akill_base_mig"), kShards, prosumer, to, kMigrateAfter,
+                   sim::MigrationMode::kAllowActive);
   ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
   ASSERT_EQ(migrated->epoch, 1);
   Result<sim::MergedOnlineReport> plain = sim::Coordinator::RunShardedCheckpointed(
       Params(kShards), workload_.offers, window_, Dir("akill_base_plain"));
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
-  for (const char* point : {"util.journal.flush", "util.fileio.write"}) {
-    FaultRegistry::Global().Arm(point, FaultConfig{});
-    ASSERT_TRUE(run(Dir("acount")).ok());
-    const int64_t hits = FaultRegistry::Global().Stats(point).hits;
-    FaultRegistry::Global().DisarmAll();
-    ASSERT_GT(hits, 0) << point << " is not on the active-migration write path";
+  for (const int compact_ticks : {0, 3}) {
+    const auto run = [&](const std::string& dir) {
+      return RunMigrating(dir, kShards, prosumer, to, kMigrateAfter,
+                          sim::MigrationMode::kAllowActive, compact_ticks);
+    };
+    for (const char* point : {"util.journal.flush", "util.fileio.write"}) {
+      FaultRegistry::Global().Arm(point, FaultConfig{});
+      ASSERT_TRUE(run(Dir("acount")).ok());
+      const int64_t hits = FaultRegistry::Global().Stats(point).hits;
+      FaultRegistry::Global().DisarmAll();
+      ASSERT_GT(hits, 0) << point << " is not on the active-migration write path";
 
-    for (int64_t hit = 1; hit <= hits; ++hit) {
-      const std::string label =
-          std::string(point) + " hit " + std::to_string(hit) + "/" + std::to_string(hits);
-      std::string dir = Dir("akill_" + std::to_string(hit) + point);
+      for (int64_t hit = 1; hit <= hits; ++hit) {
+        const std::string label = "C=" + std::to_string(compact_ticks) + " " + point + " hit " +
+                                  std::to_string(hit) + "/" + std::to_string(hits);
+        std::string dir = Dir("akill_" + std::to_string(hit) + point);
 
-      pid_t pid = fork();
-      if (pid == 0) {
-        FaultConfig config;
-        config.crash_at_hit = hit;
-        FaultRegistry::Global().Arm(point, config);
-        Result<sim::MergedOnlineReport> report = run(dir);
-        std::_Exit(report.ok() ? 0 : 1);
-      }
-      ASSERT_GT(pid, 0) << "fork failed";
-      int wstatus = 0;
-      ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-      ASSERT_TRUE(WIFEXITED(wstatus));
-      ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
-          << label << ": child did not crash where told to";
+        pid_t pid = fork();
+        if (pid == 0) {
+          FaultConfig config;
+          config.crash_at_hit = hit;
+          FaultRegistry::Global().Arm(point, config);
+          Result<sim::MergedOnlineReport> report = run(dir);
+          std::_Exit(report.ok() ? 0 : 1);
+        }
+        ASSERT_GT(pid, 0) << "fork failed";
+        int wstatus = 0;
+        ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+        ASSERT_TRUE(WIFEXITED(wstatus));
+        ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
+            << label << ": child did not crash where told to";
 
-      sim::ShardResumeInfo info;
-      Result<sim::MergedOnlineReport> recovered =
-          sim::Coordinator::ResumeSharded(dir, &info);
-      if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
-        recovered = run(dir);  // never committed; rerun from inputs
+        sim::ShardResumeInfo info;
+        Result<sim::MergedOnlineReport> recovered =
+            sim::Coordinator::ResumeSharded(dir, &info);
+        if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+          // Only a run that never committed (no COORDINATOR.json, the commit
+          // point) may be refused.
+          ASSERT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+              << label << ": " << recovered.status().ToString();
+          recovered = run(dir);  // never committed; rerun from inputs
+          ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
+          ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
+          continue;
+        }
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
-        ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
-        continue;
-      }
-      ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
 
-      if (recovered->epoch == 1) {
-        EXPECT_EQ(info.migrations_replayed + info.migrations_repaired, 1) << label;
-        ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
-      } else {
-        EXPECT_EQ(recovered->epoch, 0) << label;
-        ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
-      }
+        if (recovered->epoch == 1) {
+          if (compact_ticks == 0) {
+            EXPECT_EQ(info.migrations_replayed, 1) << label;
+          }
+          ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
+        } else {
+          EXPECT_EQ(recovered->epoch, 0) << label;
+          ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
+        }
 
-      sim::ShardResumeInfo again;
-      Result<sim::MergedOnlineReport> second =
-          sim::Coordinator::ResumeSharded(dir, &again);
-      ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
-      for (const sim::ResumeInfo& shard : again.shards) {
-        EXPECT_EQ(shard.ticks_replayed, recovered->global.ticks) << label;
-        EXPECT_EQ(shard.ticks_continued, 0) << label;
+        sim::ShardResumeInfo again;
+        Result<sim::MergedOnlineReport> second =
+            sim::Coordinator::ResumeSharded(dir, &again);
+        ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
+        for (const sim::ResumeInfo& shard : again.shards) {
+          EXPECT_EQ(shard.ticks_folded + shard.ticks_replayed, recovered->global.ticks) << label;
+          EXPECT_EQ(shard.ticks_continued, 0) << label;
+        }
+        ExpectMergedEqual(*recovered, *second, label + " (second resume)");
       }
-      ExpectMergedEqual(*recovered, *second, label + " (second resume)");
     }
   }
 }
@@ -752,6 +803,10 @@ TEST_F(ShardTest, CompactionKillMatrixConvergesAt4Shards) {
 
       Result<sim::MergedOnlineReport> recovered = sim::Coordinator::ResumeSharded(dir);
       if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+        // Only a run that never committed (no COORDINATOR.json, the commit
+        // point) may be refused.
+        ASSERT_FALSE(fs::exists(fs::path(dir) / sim::kCoordinatorManifestFile))
+            << label << ": " << recovered.status().ToString();
         recovered = run(dir);  // never committed; rerun from inputs
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
         ExpectMergedEqual(*baseline, *recovered, label + " (rerun)");
@@ -787,29 +842,46 @@ TEST_F(ShardTest, ResumeShardedWithoutManifestIsDataLoss) {
 }
 
 TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
-  // A completed 2-shard run with one committed migration: its manifest
-  // carries an override, a non-zero epoch and every optional field.
+  // A completed 2-shard run with one committed migration, compacted after
+  // it: its manifest carries an override, a non-zero epoch and every
+  // optional field but the controller's. A second run with a controller adds
+  // the `rebalance` params and the `controller` trend state.
   const core::ProsumerId prosumer = FindIdleProsumer(3);
   ASSERT_NE(prosumer, core::kInvalidProsumerId);
   sim::ShardRouter router(2, sim::ShardPolicy::kHash);
   const int from =
       router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
   const std::string base = Dir("meta_base");
-  Result<sim::MergedOnlineReport> baseline = RunMigrating(base, 2, prosumer, 1 - from, 3);
+  Result<sim::MergedOnlineReport> baseline =
+      RunMigrating(base, 2, prosumer, 1 - from, 3, sim::MigrationMode::kIdleOnly, 3);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::string controlled = Dir("meta_controlled");
+  sim::CoordinatorParams controller_params = Params(2);
+  controller_params.rebalance = sim::RebalanceParams{};
+  ASSERT_TRUE(sim::Coordinator::RunShardedCheckpointed(controller_params, workload_.offers,
+                                                       window_, controlled)
+                  .ok());
   StoreOptions options;
   options.manifest_name = sim::kCoordinatorManifestFile;
   options.journal_name = "coordinator.wal";
-  Result<StoreRecovery> recovered = DurableStore::Recover(base, options);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const JsonValue meta = recovered->meta;
+  const auto meta_of = [&options](const std::string& run) {
+    Result<StoreRecovery> recovered = DurableStore::Recover(run, options);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    return recovered.ok() ? recovered->meta : JsonValue();
+  };
+  const JsonValue meta = meta_of(base);
   ASSERT_TRUE(meta.is_object());
   ASSERT_EQ(meta.Get("overrides").size(), 1u);
+  const JsonValue controlled_meta = meta_of(controlled);
+  ASSERT_TRUE(controlled_meta.Get("rebalance").is_object());
+  ASSERT_TRUE(controlled_meta.Get("controller").is_object());
 
-  // Resumes a fresh copy of the run whose manifest meta is `mutated`.
-  const auto resume_with_meta = [&](const JsonValue& mutated) -> Status {
+  // Resumes a fresh copy of `run`, in `case_dir`, whose manifest meta is
+  // `mutated`.
+  const std::string case_dir = (root_ / "meta_case").string();
+  const auto resume_with_meta = [&](const std::string& run, const JsonValue& mutated) -> Status {
     const std::string dir = Dir("meta_case");
-    fs::copy(base, dir, fs::copy_options::recursive);
+    fs::copy(run, dir, fs::copy_options::recursive);
     StoreRecovery recovery;
     Result<DurableStore> store = DurableStore::Resume(dir, options, &recovery);
     if (!store.ok()) return store.status();
@@ -817,10 +889,11 @@ TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
     FLEXVIS_RETURN_IF_ERROR(store->Close());
     return sim::Coordinator::ResumeSharded(dir).status();
   };
-  // `meta` with `key` set to `value`, or dropped when `value` is absent.
-  const auto with = [&meta](const std::string& key, std::optional<JsonValue> value) {
+  // `object` with `key` set to `value`, or dropped when `value` is absent.
+  const auto with = [](const JsonValue& object, const std::string& key,
+                       std::optional<JsonValue> value) {
     JsonValue out = JsonValue::Object();
-    for (const auto& [k, v] : meta.items()) {
+    for (const auto& [k, v] : object.items()) {
       if (k != key) out.Set(k, v);
     }
     if (value.has_value()) out.Set(key, *value);
@@ -840,15 +913,16 @@ TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
     return list;
   };
 
-  // The unmodified manifest resumes. It carries the constant
+  // The unmodified manifests resume. They carry the constant
   // `"scale_energy_per_shard": true` every coordinator writes; only `false`
   // is refused below.
   EXPECT_EQ(meta.Get("scale_energy_per_shard"), JsonValue::Bool(true));
-  Status intact = resume_with_meta(meta);
+  Status intact = resume_with_meta(base, meta);
+  ASSERT_TRUE(intact.ok()) << intact.ToString();
+  intact = resume_with_meta(controlled, controlled_meta);
   ASSERT_TRUE(intact.ok()) << intact.ToString();
 
   // Targeted: every out-of-range or mistyped field is DataLoss.
-  const int64_t epoch = meta.Get("epoch").AsInt();
   const std::vector<std::pair<std::string, std::optional<JsonValue>>> bad = {
       {"num_shards", JsonValue::Int(0)},
       {"num_shards", JsonValue::Int(-1)},
@@ -860,8 +934,6 @@ TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
       {"topology", JsonValue::Int(-1)},
       {"topology", JsonValue::Int(4294967296LL)},
       {"topology", JsonValue::Str("0")},
-      {"base_epoch", JsonValue::Int(-1)},
-      {"base_epoch", JsonValue::Int(epoch + 1)},
       {"epoch", JsonValue::Int(-1)},
       {"epoch", std::nullopt},
       {"scale_energy_per_shard", JsonValue::Bool(false)},
@@ -880,19 +952,72 @@ TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
       {"base_energy", JsonValue::Int(1)},
       {"rebalance", JsonValue::Object()},
   };
+  std::vector<std::pair<std::string, JsonValue>> bad_metas;
   for (const auto& [key, value] : bad) {
-    const std::string label = key + "=" + (value.has_value() ? value->Dump() : "(absent)");
-    Status status = resume_with_meta(with(key, value));
+    bad_metas.emplace_back(key + "=" + (value.has_value() ? value->Dump() : "(absent)"),
+                           with(meta, key, value));
+  }
+  // The fleet flipped from 2 shards to an in-range 1 (its override dropped):
+  // shard-0001 is no longer named, but the run cannot resume without it.
+  bad_metas.emplace_back("num_shards=1, no overrides",
+                         with(with(meta, "num_shards", JsonValue::Int(1)), "overrides",
+                              JsonValue::Array()));
+  bad_metas.emplace_back("meta=7", JsonValue::Int(7));
+  bad_metas.emplace_back("meta=[]", JsonValue::Array());
+  // Every file under a run's shard directories, relative path -> bytes.
+  const auto shard_bytes = [](const std::string& run) {
+    std::map<std::string, std::string> bytes;
+    for (const fs::directory_entry& entry : fs::recursive_directory_iterator(run)) {
+      const std::string relative = fs::relative(entry.path(), run).string();
+      if (!entry.is_regular_file() || relative.rfind(sim::kShardDirPrefix, 0) != 0) continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes[relative].assign(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+    }
+    return bytes;
+  };
+  const std::map<std::string, std::string> base_shards = shard_bytes(base);
+  ASSERT_EQ(base_shards.count(StrFormat("%s%04d/%s", sim::kShardDirPrefix, 1,
+                                        sim::kCheckpointManifestFile)),
+            1u);
+  for (const auto& [label, mutated] : bad_metas) {
+    Status status = resume_with_meta(base, mutated);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << label << ": " << status.ToString();
+    // A refused resume deletes or rewrites nothing in any shard directory.
+    EXPECT_EQ(shard_bytes(case_dir), base_shards) << label;
+  }
+  // The controller's integers: a double, a value past an int and a
+  // non-integer list entry are DataLoss, never narrowed or read as 0.
+  JsonValue strings = JsonValue::Array();
+  strings.Append(JsonValue::Str("x"));
+  strings.Append(JsonValue::Str("y"));
+  JsonValue fractions = JsonValue::Array();
+  fractions.Append(JsonValue::Double(2.9));
+  fractions.Append(JsonValue::Int(0));
+  const std::vector<std::tuple<std::string, std::string, JsonValue>> bad_nested = {
+      {"rebalance", "window_ticks", JsonValue::Int(4294967297LL)},
+      {"rebalance", "window_ticks", JsonValue::Double(2.9)},
+      {"rebalance", "max_shards", JsonValue::Str("4")},
+      {"controller", "cooldown", JsonValue::Double(2.9)},
+      {"controller", "idle_streak", JsonValue::Int(4294967297LL)},
+      {"controller", "next_plan_id", JsonValue::Double(1.5)},
+      {"controller", "streak", strings},
+      {"controller", "streak", fractions},
+      {"controller", "prev_shed", strings},
+  };
+  for (const auto& [key, field, value] : bad_nested) {
+    const std::string label = key + "." + field + "=" + value.Dump();
+    Status status = resume_with_meta(
+        controlled,
+        with(controlled_meta, key, with(controlled_meta.Get(key), field, value)));
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << label << ": " << status.ToString();
   }
-  for (const JsonValue& not_an_object : {JsonValue::Int(7), JsonValue::Array()}) {
-    EXPECT_EQ(resume_with_meta(not_an_object).code(), StatusCode::kDataLoss);
-  }
 
-  // Seeded: hostile values under random keys, and byte flips and truncations
-  // of the manifest file itself. A mutation may leave a resumable run (a
-  // changed fault seed, an unread key); anything else must be a typed
-  // persisted-state error — never a crash, an internal error or a hang.
+  // Seeded, on both runs: hostile values under random keys, and byte flips
+  // and truncations of the manifest file itself. A mutation may leave a
+  // resumable run (a changed fault seed, an unread key); anything else must
+  // be a typed persisted-state error — never a crash, an internal error or
+  // a hang.
   const auto typed = [](const Status& status) {
     return status.ok() || status.code() == StatusCode::kDataLoss ||
            status.code() == StatusCode::kNotFound || status.code() == StatusCode::kInvalidArgument;
@@ -912,39 +1037,43 @@ TEST_F(ShardTest, MalformedCoordinatorManifestIsTypedDataLossNeverACrash) {
       JsonValue::Array(),
       JsonValue::Object(),
   };
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : meta.items()) keys.push_back(key);
-  for (int i = 0; i < 120; ++i) {
-    const std::string& key = keys[rng() % keys.size()];
-    const JsonValue& value = hostile[rng() % hostile.size()];
-    Status status = resume_with_meta(with(key, value));
-    EXPECT_TRUE(typed(status)) << key << "=" << value.Dump() << ": " << status.ToString();
-  }
-  const fs::path manifest = fs::path(base) / sim::kCoordinatorManifestFile;
-  std::string bytes;
-  {
-    std::ifstream in(manifest, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  ASSERT_FALSE(bytes.empty());
-  for (int i = 0; i < 120; ++i) {
-    std::string mutated = bytes;
-    const size_t pos = rng() % mutated.size();
-    if (i % 3 == 0) {
-      mutated.resize(pos);  // truncation
-    } else {
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (rng() % 8)));  // bit flip
+  for (const auto& [run, run_meta] : {std::make_pair(base, meta),
+                                      std::make_pair(controlled, controlled_meta)}) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : run_meta.items()) keys.push_back(key);
+    for (int i = 0; i < 120; ++i) {
+      const std::string& key = keys[rng() % keys.size()];
+      const JsonValue& value = hostile[rng() % hostile.size()];
+      Status status = resume_with_meta(run, with(run_meta, key, value));
+      EXPECT_TRUE(typed(status)) << run << " " << key << "=" << value.Dump() << ": "
+                                 << status.ToString();
     }
-    const std::string dir = Dir("meta_bytes");
-    fs::copy(base, dir, fs::copy_options::recursive);
+    const fs::path manifest = fs::path(run) / sim::kCoordinatorManifestFile;
+    std::string bytes;
     {
-      std::ofstream out(fs::path(dir) / sim::kCoordinatorManifestFile,
-                        std::ios::binary | std::ios::trunc);
-      out << mutated;
+      std::ifstream in(manifest, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
     }
-    Status status = sim::Coordinator::ResumeSharded(dir).status();
-    EXPECT_TRUE(typed(status)) << "mutation " << i << " at byte " << pos << ": "
-                               << status.ToString();
+    ASSERT_FALSE(bytes.empty());
+    for (int i = 0; i < 120; ++i) {
+      std::string mutated = bytes;
+      const size_t pos = rng() % mutated.size();
+      if (i % 3 == 0) {
+        mutated.resize(pos);  // truncation
+      } else {
+        mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (rng() % 8)));  // bit flip
+      }
+      const std::string dir = Dir("meta_bytes");
+      fs::copy(run, dir, fs::copy_options::recursive);
+      {
+        std::ofstream out(fs::path(dir) / sim::kCoordinatorManifestFile,
+                          std::ios::binary | std::ios::trunc);
+        out << mutated;
+      }
+      Status status = sim::Coordinator::ResumeSharded(dir).status();
+      EXPECT_TRUE(typed(status)) << run << " mutation " << i << " at byte " << pos << ": "
+                                 << status.ToString();
+    }
   }
 }
 
