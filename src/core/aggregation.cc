@@ -199,6 +199,16 @@ FlexOffer FinishAggregate(const uint32_t* members, size_t num_members, FlexOffer
   return agg;
 }
 
+// Unit slices of an RLE profile as UnitProfile() expands it: a slice with a
+// non-positive duration expands to none.
+size_t UnitCount(const FlexOffer& offer) {
+  size_t units = 0;
+  for (const ProfileSlice& slice : offer.profile) {
+    units += static_cast<size_t>(std::max(slice.duration_slices, 0));
+  }
+  return units;
+}
+
 }  // namespace
 
 std::vector<ProfileSlice> CompressProfile(const std::vector<ProfileSlice>& units) {
@@ -325,27 +335,25 @@ AggregationResult Aggregator::Aggregate(const std::vector<FlexOffer>& offers,
   }
 
   // Split each cell range into capped groups in (cell key, arrival) order.
-  // Ids are assigned by group index up front so numbering matches the serial
-  // order no matter which worker runs a group.
-  struct GroupSpan {
-    uint32_t begin;
-    uint32_t end;
-  };
-  std::vector<GroupSpan> groups;
-  groups.reserve(num_cells);
+  // The cell ranges tile `flat` in that order, so the group boundaries are
+  // the result's member CSR as they stand. Ids are assigned by group index up
+  // front so numbering matches the serial order no matter which worker runs
+  // a group.
+  std::vector<uint32_t>& group_begin = result.member_begin;
+  group_begin.reserve(num_cells + 1);
   for (const uint32_t e : ordered) {
     const uint32_t begin = cell_begin[e];
     const uint32_t end = begin + cell_count[e];
     uint32_t cap = params_.max_group_size > 0 ? static_cast<uint32_t>(params_.max_group_size)
                                               : cell_count[e];
     if (cap == 0) cap = 1;
-    for (uint32_t b = begin; b < end; b += cap) {
-      groups.push_back(GroupSpan{b, std::min(b + cap, end)});
-    }
+    for (uint32_t b = begin; b < end; b += cap) group_begin.push_back(b);
   }
+  group_begin.push_back(at);
+  const size_t num_groups = group_begin.size() - 1;
   const FlexOfferId base_id = *next_id;
-  *next_id += static_cast<FlexOfferId>(groups.size());
-  result.aggregates.resize(groups.size());
+  *next_id += static_cast<FlexOfferId>(num_groups);
+  result.aggregates.resize(num_groups);
 
   // Envelope summation runs over the offer columns instead of per-group
   // gathers: group_of[] inverts the grouping, the minima and unit extents
@@ -360,14 +368,14 @@ AggregationResult Aggregator::Aggregate(const std::vector<FlexOffer>& offers,
   const int64_t* FLEXVIS_RESTRICT creation = cols.creation_min();
   const size_t* FLEXVIS_RESTRICT unit_offset = cols.unit_offset();
   std::vector<int32_t> group_of(offers.size(), -1);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (uint32_t k = groups[g].begin; k < groups[g].end; ++k) {
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (uint32_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
       group_of[flat[k]] = static_cast<int32_t>(g);
     }
   }
   // Scalar minima/maxima are int64 folds (order-independent), so one sweep
   // over the compact columns matches the per-group reduction exactly.
-  std::vector<GroupMins> mins(groups.size());
+  std::vector<GroupMins> mins(num_groups);
   for (size_t i = 0; i < offers.size(); ++i) {
     const int32_t g = group_of[i];
     if (g < 0) continue;
@@ -381,12 +389,12 @@ AggregationResult Aggregator::Aggregate(const std::vector<FlexOffer>& offers,
         m.end_max,
         est[i] + kMinutesPerSlice * static_cast<int64_t>(unit_offset[i + 1] - unit_offset[i]));
   }
-  std::vector<size_t> total_units(groups.size(), 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
+  std::vector<size_t> total_units(num_groups, 0);
+  for (size_t g = 0; g < num_groups; ++g) {
     total_units[g] = static_cast<size_t>((mins[g].end_max - mins[g].est) / kMinutesPerSlice);
   }
-  std::vector<size_t> buf_off(groups.size() + 1, 0);
-  for (size_t g = 0; g < groups.size(); ++g) buf_off[g + 1] = buf_off[g] + total_units[g];
+  std::vector<size_t> buf_off(num_groups + 1, 0);
+  for (size_t g = 0; g < num_groups; ++g) buf_off[g + 1] = buf_off[g] + total_units[g];
   std::vector<double> sum_min(buf_off.back(), 0.0);
   std::vector<double> sum_max(buf_off.back(), 0.0);
   auto accumulate_member = [&](size_t i, int32_t g) {
@@ -408,9 +416,9 @@ AggregationResult Aggregator::Aggregate(const std::vector<FlexOffer>& offers,
   } else {
     // Threaded: groups are independent work items, each visiting its members
     // in ascending index — the same per-group add order as the serial sweep.
-    ParallelFor(0, groups.size(), 1, [&](size_t begin, size_t end) {
+    ParallelFor(0, num_groups, 1, [&](size_t begin, size_t end) {
       for (size_t g = begin; g < end; ++g) {
-        for (uint32_t k = groups[g].begin; k < groups[g].end; ++k) {
+        for (uint32_t k = group_begin[g]; k < group_begin[g + 1]; ++k) {
           accumulate_member(flat[k], static_cast<int32_t>(g));
         }
       }
@@ -419,15 +427,16 @@ AggregationResult Aggregator::Aggregate(const std::vector<FlexOffer>& offers,
   // Grain 1: group counts are small (tens) while compressing and assembling
   // an aggregate is comparatively heavy. Ids were preassigned above, so the
   // schedule cannot affect the output.
-  ParallelFor(0, groups.size(), 1, [&](size_t begin, size_t end) {
+  ParallelFor(0, num_groups, 1, [&](size_t begin, size_t end) {
     for (size_t g = begin; g < end; ++g) {
       result.aggregates[g] =
-          FinishAggregate(flat.data() + groups[g].begin, groups[g].end - groups[g].begin,
+          FinishAggregate(flat.data() + group_begin[g], group_begin[g + 1] - group_begin[g],
                           base_id + static_cast<FlexOfferId>(g), offers, cols, mins[g],
                           sum_min.data() + buf_off[g], sum_max.data() + buf_off[g],
                           total_units[g]);
     }
   });
+  result.member_index = std::move(flat);
   return result;
 }
 
@@ -447,32 +456,53 @@ Result<std::vector<FlexOffer>> Disaggregate(const FlexOffer& aggregate,
                   static_cast<long long>(aggregate.id), aggregate.aggregated_from.size(),
                   members.size()));
   }
+  // Membership in one pass: each supplied id is searched in a sorted copy of
+  // the listed ids.
+  std::vector<FlexOfferId> listed = aggregate.aggregated_from;
+  std::sort(listed.begin(), listed.end());
   for (const FlexOffer& m : members) {
-    if (std::find(aggregate.aggregated_from.begin(), aggregate.aggregated_from.end(), m.id) ==
-        aggregate.aggregated_from.end()) {
+    if (!std::binary_search(listed.begin(), listed.end(), m.id)) {
       return InvalidArgumentError(StrFormat("offer %lld is not a member of aggregate %lld",
                                             static_cast<long long>(m.id),
                                             static_cast<long long>(aggregate.id)));
     }
   }
+  std::vector<FlexOffer> out = members;
+  FLEXVIS_RETURN_IF_ERROR(DisaggregateInPlace(aggregate, out.data(), out.size()));
+  return out;
+}
 
+Status DisaggregateInPlace(const FlexOffer& aggregate, FlexOffer* members, size_t n) {
   const int64_t shift = aggregate.schedule->start - aggregate.earliest_start;
   if (shift < 0 || shift > aggregate.time_flexibility_minutes()) {
     return InvalidArgumentError(StrFormat("aggregate %lld schedule start outside flexibility",
                                           static_cast<long long>(aggregate.id)));
   }
-
-  const std::vector<ProfileSlice> agg_units = aggregate.UnitProfile();
   const std::vector<double>& agg_energy = aggregate.schedule->energy_kwh;
-  if (agg_energy.size() != agg_units.size()) {
+  const size_t agg_units = UnitCount(aggregate);
+  if (agg_energy.size() != agg_units) {
     return InvalidArgumentError(StrFormat("aggregate %lld schedule/profile size mismatch",
                                           static_cast<long long>(aggregate.id)));
   }
 
-  std::vector<FlexOffer> out;
-  out.reserve(members.size());
-  for (const FlexOffer& member : members) {
-    FlexOffer scheduled = member;
+  // The share of each aggregate unit slice's energy flexibility its schedule
+  // uses; every member takes the same share of its own flexibility there.
+  std::vector<double> fraction;
+  fraction.reserve(agg_units);
+  for (const ProfileSlice& slice : aggregate.profile) {
+    const double slack = slice.max_energy_kwh - slice.min_energy_kwh;
+    for (int i = 0; i < slice.duration_slices; ++i) {
+      double f = 0.0;
+      if (slack > 0.0) {
+        f = (agg_energy[fraction.size()] - slice.min_energy_kwh) / slack;
+        f = std::clamp(f, 0.0, 1.0);
+      }
+      fraction.push_back(f);
+    }
+  }
+
+  for (size_t k = 0; k < n; ++k) {
+    FlexOffer& member = members[k];
     const int64_t offset_minutes = member.earliest_start - aggregate.earliest_start;
     if (offset_minutes < 0 || offset_minutes % kMinutesPerSlice != 0) {
       return InternalError(StrFormat("member %lld misaligned with aggregate %lld",
@@ -480,32 +510,25 @@ Result<std::vector<FlexOffer>> Disaggregate(const FlexOffer& aggregate,
                                      static_cast<long long>(aggregate.id)));
     }
     const size_t offset = static_cast<size_t>(offset_minutes / kMinutesPerSlice);
-    std::vector<ProfileSlice> member_units = member.UnitProfile();
+    const size_t units = UnitCount(member);
+    if (units > 0 && offset + units > agg_units) {
+      return InternalError(StrFormat("member %lld extends past aggregate %lld profile",
+                                     static_cast<long long>(member.id),
+                                     static_cast<long long>(aggregate.id)));
+    }
     Schedule sched;
     sched.start = member.earliest_start + shift;
-    sched.energy_kwh.resize(member_units.size(), 0.0);
-    for (size_t i = 0; i < member_units.size(); ++i) {
-      const size_t s = offset + i;
-      if (s >= agg_units.size()) {
-        return InternalError(StrFormat("member %lld extends past aggregate %lld profile",
-                                       static_cast<long long>(member.id),
-                                       static_cast<long long>(aggregate.id)));
-      }
-      const double slack = agg_units[s].max_energy_kwh - agg_units[s].min_energy_kwh;
-      double fraction = 0.0;
-      if (slack > 0.0) {
-        fraction = (agg_energy[s] - agg_units[s].min_energy_kwh) / slack;
-        fraction = std::clamp(fraction, 0.0, 1.0);
-      }
-      sched.energy_kwh[i] =
-          member_units[i].min_energy_kwh +
-          fraction * (member_units[i].max_energy_kwh - member_units[i].min_energy_kwh);
+    sched.energy_kwh.resize(units);
+    double* FLEXVIS_RESTRICT out = sched.energy_kwh.data();
+    const double* FLEXVIS_RESTRICT f = fraction.data() + offset;
+    for (const ProfileSlice& slice : member.profile) {
+      const double range = slice.max_energy_kwh - slice.min_energy_kwh;
+      for (int i = 0; i < slice.duration_slices; ++i) *out++ = slice.min_energy_kwh + *f++ * range;
     }
-    scheduled.schedule = std::move(sched);
-    scheduled.state = FlexOfferState::kAssigned;
-    out.push_back(std::move(scheduled));
+    member.schedule = std::move(sched);
+    member.state = FlexOfferState::kAssigned;
   }
-  return out;
+  return OkStatus();
 }
 
 }  // namespace flexvis::core

@@ -1,6 +1,7 @@
 #ifndef FLEXVIS_CORE_AGGREGATION_H_
 #define FLEXVIS_CORE_AGGREGATION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/flex_offer.h"
@@ -49,6 +50,15 @@ struct AggregationResult {
   /// Offers that could not be aggregated (failed validation); passed through
   /// untouched so no data silently disappears from a view.
   std::vector<FlexOffer> passthrough;
+
+  /// Member positions in the aggregated input, as CSR: the members of
+  /// aggregates[g] are offers[member_index[k]] for k in
+  /// [member_begin[g], member_begin[g + 1]), listed in aggregated_from order.
+  /// Filled by Aggregator::Aggregate (member_begin then has
+  /// aggregates.size() + 1 entries), so callers can gather members by
+  /// position instead of looking their ids up.
+  std::vector<uint32_t> member_begin;
+  std::vector<uint32_t> member_index;
 };
 
 /// Grid-based start-alignment aggregator. Stateless apart from the id
@@ -91,6 +101,14 @@ class Aggregator {
 /// reproduces the aggregate schedule (up to floating-point rounding).
 Result<std::vector<FlexOffer>> Disaggregate(const FlexOffer& aggregate,
                                             const std::vector<FlexOffer>& members);
+
+/// The in-place kernel behind Disaggregate: schedules `members[0, n)` from
+/// `aggregate`'s schedule and marks them assigned. The caller guarantees that
+/// the run holds exactly the aggregate's members (any order) and that the
+/// aggregate carries a schedule; the start-shift, schedule-size and member
+/// alignment checks are the kernel's, with Disaggregate's error codes. On
+/// error the members may be left partially scheduled.
+Status DisaggregateInPlace(const FlexOffer& aggregate, FlexOffer* members, size_t n);
 
 /// Compresses consecutive unit slices with identical bounds back into
 /// run-length-encoded profile slices.

@@ -65,10 +65,23 @@ Result<FlexOffer> FlexOfferFromJson(const JsonValue& json) {
     if (!v.ok()) return v.status();
     offer.prosumer = *v;
   }
-  offer.region = json.Get("region").is_number() ? json.Get("region").AsInt()
-                                                : kInvalidRegionId;
-  offer.grid_node = json.Get("grid_node").is_number() ? json.Get("grid_node").AsInt()
-                                                      : kInvalidGridNodeId;
+  // Optional location ids: absent (or null) keeps the invalid id, and a
+  // present value must be a JSON integer. The check is on the value's kind,
+  // so 2.9 or 1e300 is an error, never a truncating or out-of-range cast.
+  struct IdField {
+    const char* key;
+    int64_t* target;
+  };
+  for (const IdField& f :
+       {IdField{"region", &offer.region}, IdField{"grid_node", &offer.grid_node}}) {
+    const JsonValue& v = json.Get(f.key);
+    if (v.is_null()) continue;
+    if (!v.is_int()) {
+      return InvalidArgumentError(StrFormat("flex-offer JSON: '%s' must be an integer, got %s",
+                                            f.key, v.Dump().c_str()));
+    }
+    *f.target = v.AsInt();
+  }
   {
     Result<std::string> s = json.GetString("energy_type");
     if (!s.ok()) return s.status();

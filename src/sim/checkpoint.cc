@@ -329,39 +329,46 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
   // per-shard migration format, never a tick.
   if (json.Has("kind")) return DataLossError("shard journal holds a tagged, non-tick record");
   OnlineTickRecord record;
-  Result<int64_t> tick = json.GetInt("tick");
-  Result<int64_t> received = json.GetInt("received");
-  Result<int64_t> accepted = json.GetInt("accepted");
-  Result<int64_t> rejected = json.GetInt("rejected");
-  Result<int64_t> assigned = json.GetInt("assigned");
-  Result<int64_t> missed_acc = json.GetInt("missed_acc");
-  Result<int64_t> missed_asn = json.GetInt("missed_asn");
-  Result<int64_t> dropped = json.GetInt("dropped");
-  Result<int64_t> failed_sends = json.GetInt("failed_sends");
-  Result<int64_t> next_arrival = json.GetInt("next_arrival");
-  for (const Status* status :
-       {&tick.status(), &received.status(), &accepted.status(), &rejected.status(),
-        &assigned.status(), &missed_acc.status(), &missed_asn.status(), &dropped.status(),
-        &failed_sends.status(), &next_arrival.status()}) {
-    if (!status->ok()) {
+  // Every integer is read strictly: a double, or a value outside the
+  // field's range, is corruption, never a truncated or narrowed value. The
+  // shed fields are optional (journals cut before load shedding lack them).
+  struct IntField {
+    const char* key;
+    int* target;
+    bool optional;
+  };
+  const IntField fields[] = {
+      {"tick", &record.tick, false},
+      {"received", &record.offers_received, false},
+      {"accepted", &record.accepted, false},
+      {"rejected", &record.rejected, false},
+      {"assigned", &record.assigned, false},
+      {"missed_acc", &record.missed_acceptance, false},
+      {"missed_asn", &record.missed_assignment, false},
+      {"dropped", &record.dropped_ingest, false},
+      {"failed_sends", &record.failed_sends, false},
+      {"shed_policy", &record.shed_policy, true},
+      {"shed", &record.shed_offers, true},
+      {"qhw", &record.queue_high_watermark, true},
+  };
+  for (const IntField& field : fields) {
+    if (field.optional && !json.Has(field.key)) continue;
+    Result<int64_t> value =
+        ReadStrictInt(json.Get(field.key), field.key, std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max());
+    if (!value.ok()) {
       return DataLossError(
-          StrFormat("journal record is incomplete: %s", status->message().c_str()));
+          StrFormat("journal record is incomplete: %s", value.status().message().c_str()));
     }
+    *field.target = static_cast<int>(*value);
   }
-  record.tick = static_cast<int>(*tick);
-  record.folded = json.Get("folded").is_bool() && json.Get("folded").AsBool();
-  record.shed_policy = static_cast<int>(GetIntOr(json, "shed_policy", 0));
-  record.offers_received = static_cast<int>(*received);
-  record.accepted = static_cast<int>(*accepted);
-  record.rejected = static_cast<int>(*rejected);
-  record.assigned = static_cast<int>(*assigned);
-  record.missed_acceptance = static_cast<int>(*missed_acc);
-  record.missed_assignment = static_cast<int>(*missed_asn);
-  record.dropped_ingest = static_cast<int>(*dropped);
-  record.failed_sends = static_cast<int>(*failed_sends);
-  record.shed_offers = static_cast<int>(GetIntOr(json, "shed", 0));
-  record.queue_high_watermark = static_cast<int>(GetIntOr(json, "qhw", 0));
+  Result<int64_t> next_arrival = ReadStrictInt(json.Get("next_arrival"), "next_arrival");
+  if (!next_arrival.ok()) {
+    return DataLossError(
+        StrFormat("journal record is incomplete: %s", next_arrival.status().message().c_str()));
+  }
   record.next_arrival = *next_arrival;
+  record.folded = json.Get("folded").is_bool() && json.Get("folded").AsBool();
 
   const JsonValue& changes = json.Get("changes");
   if (!changes.is_array()) return DataLossError("journal record lacks a 'changes' array");

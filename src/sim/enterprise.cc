@@ -1,12 +1,13 @@
 #include "sim/enterprise.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 #include "core/local_search.h"
 #include "core/measures.h"
 #include "sim/forecaster.h"
 #include "util/fault.h"
+#include "util/parallel.h"
 #include "util/retry.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -18,6 +19,21 @@ using core::TimeSeries;
 using timeutil::kMinutesPerSlice;
 using timeutil::TimeInterval;
 using timeutil::TimePoint;
+
+namespace {
+
+/// Whether two aggregate sets list the same aggregates with the same members
+/// in the same order: step 5 gathers a plan's members by their positions in
+/// this run's aggregation, so a cached plan is reusable only then.
+bool SameAggregates(const std::vector<FlexOffer>& a, const std::vector<FlexOffer>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (a[k].id != b[k].id || a[k].aggregated_from != b[k].aggregated_from) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& offers,
                                                const TimeInterval& window) const {
@@ -95,6 +111,7 @@ Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& off
     agg = aggregator.Aggregate(fresh, &next_id);
   } else {
     agg.aggregates = fresh;  // every offer schedules as its own unit
+    agg.member_begin.assign(fresh.size() + 1, 0);
     report.degraded_stages.push_back("sim.enterprise.aggregate");
   }
   report.aggregates_built = static_cast<int>(agg.aggregates.size());
@@ -108,21 +125,18 @@ Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& off
   Status scheduler_up =
       RetryFaultPointIn(faults, "sim.enterprise.schedule", DefaultRetryPolicy(),
                         []() -> Status { return OkStatus(); });
-  std::vector<core::FlexOfferId> aggregate_ids;
-  aggregate_ids.reserve(agg.aggregates.size());
-  for (const FlexOffer& a : agg.aggregates) aggregate_ids.push_back(a.id);
   if (scheduler_up.ok()) {
     core::Scheduler scheduler(params_.scheduler);
     plan = scheduler.Plan(agg.aggregates, report.target);
     std::lock_guard<std::mutex> lock(plan_mutex_);
-    last_accepted_plan_ = CachedPlan{window, aggregate_ids, plan};
+    last_accepted_plan_ = CachedPlan{window, plan};
   } else {
     report.degraded_stages.push_back("sim.enterprise.schedule");
     bool reused = false;
     {
       std::lock_guard<std::mutex> lock(plan_mutex_);
       if (last_accepted_plan_.has_value() && last_accepted_plan_->window == window &&
-          last_accepted_plan_->aggregate_ids == aggregate_ids) {
+          SameAggregates(last_accepted_plan_->plan.offers, agg.aggregates)) {
         plan = last_accepted_plan_->plan;
         reused = true;
       }
@@ -144,7 +158,7 @@ Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& off
   }
   report.imbalance_before_kwh = plan.imbalance_before_kwh;
   report.imbalance_after_kwh = plan.imbalance_after_kwh;
-  report.aggregate_offers = plan.offers;
+  report.aggregate_offers = std::move(plan.offers);
 
   // 4b. Optional local-search refinement of the aggregate plan.
   if (params_.local_search_iterations > 0) {
@@ -161,20 +175,25 @@ Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& off
   //    disaggregation fault (sim.enterprise.disaggregate) demotes only the
   //    affected aggregate to rejected — its members run nothing, the lost
   //    flexibility surfaces as imbalance — rather than failing the horizon.
-  std::unordered_map<core::FlexOfferId, const FlexOffer*> by_id;
-  for (const FlexOffer& o : fresh) by_id[o.id] = &o;
-
+  //    One serial pass in aggregate order draws the faults and moves each
+  //    member once, by its aggregation position, from `fresh` into its output
+  //    slot; the kernel then schedules the disjoint per-aggregate slot runs in
+  //    parallel.
+  const size_t num_aggregates = report.aggregate_offers.size();
+  report.member_offers.reserve(fresh.size());  // at most one slot per offer
+  std::vector<size_t> slot_begin(num_aggregates + 1, 0);
+  std::vector<uint8_t> schedule_members(num_aggregates, 0);
   bool disaggregate_degraded = false;
-  for (const FlexOffer& aggregate : report.aggregate_offers) {
-    std::vector<FlexOffer> members;
-    members.reserve(aggregate.aggregated_from.size());
-    for (core::FlexOfferId id : aggregate.aggregated_from) {
-      auto it = by_id.find(id);
-      if (it == by_id.end()) {
+  for (size_t k = 0; k < num_aggregates; ++k) {
+    const FlexOffer& aggregate = report.aggregate_offers[k];
+    const std::vector<core::FlexOfferId>& listed = aggregate.aggregated_from;
+    const uint32_t* positions = agg.member_index.data() + agg.member_begin[k];
+    const size_t count = agg.member_begin[k + 1] - agg.member_begin[k];
+    for (size_t j = 0; j < listed.size(); ++j) {
+      if (j >= count || fresh[positions[j]].id != listed[j]) {
         return InternalError(StrFormat("aggregate member %lld not found",
-                                       static_cast<long long>(id)));
+                                       static_cast<long long>(listed[j])));
       }
-      members.push_back(*it->second);
     }
     bool assigned = aggregate.state == core::FlexOfferState::kAssigned &&
                     aggregate.schedule.has_value();
@@ -189,32 +208,41 @@ Result<PlanningReport> Enterprise::PlanHorizon(const std::vector<FlexOffer>& off
     }
     if (assigned) {
       ++report.aggregates_assigned;
-      if (aggregate.aggregated_from.empty()) {
-        // Raw pass-through unit (aggregation degraded): it is its own member.
-        report.member_offers.push_back(aggregate);
-        continue;
-      }
-      Result<std::vector<FlexOffer>> scheduled = core::Disaggregate(aggregate, members);
-      if (!scheduled.ok()) return scheduled.status();
-      for (FlexOffer& m : *scheduled) report.member_offers.push_back(std::move(m));
     } else {
       ++report.aggregates_rejected;
-      if (aggregate.aggregated_from.empty()) {
-        FlexOffer raw = aggregate;
-        raw.state = core::FlexOfferState::kRejected;
-        raw.schedule.reset();
-        report.member_offers.push_back(std::move(raw));
-        continue;
+    }
+    slot_begin[k] = report.member_offers.size();
+    if (listed.empty()) {
+      // Raw pass-through unit (aggregation degraded): it is its own member.
+      report.member_offers.push_back(aggregate);
+    } else {
+      for (size_t j = 0; j < listed.size(); ++j) {
+        report.member_offers.push_back(std::move(fresh[positions[j]]));
       }
-      for (FlexOffer& m : members) {
-        m.state = core::FlexOfferState::kRejected;
-        m.schedule.reset();
-        report.member_offers.push_back(std::move(m));
+      schedule_members[k] = assigned;
+    }
+    if (!assigned) {
+      for (size_t m = slot_begin[k]; m < report.member_offers.size(); ++m) {
+        report.member_offers[m].state = core::FlexOfferState::kRejected;
+        report.member_offers[m].schedule.reset();
       }
     }
   }
+  slot_begin[num_aggregates] = report.member_offers.size();
   if (disaggregate_degraded) {
     report.degraded_stages.push_back("sim.enterprise.disaggregate");
+  }
+  std::vector<Status> disaggregated(num_aggregates);
+  ParallelFor(0, num_aggregates, 16, [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      if (!schedule_members[k]) continue;
+      disaggregated[k] = core::DisaggregateInPlace(report.aggregate_offers[k],
+                                                   report.member_offers.data() + slot_begin[k],
+                                                   slot_begin[k + 1] - slot_begin[k]);
+    }
+  });
+  for (const Status& status : disaggregated) {
+    if (!status.ok()) return status;
   }
 
   // 6. Planned flexible load from member schedules (must equal the

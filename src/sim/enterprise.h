@@ -139,11 +139,11 @@ class Enterprise {
   /// The last accepted aggregate plan, kept so a scheduler outage can fall
   /// back to it (the paper's enterprise keeps trading yesterday's plan and
   /// books the imbalance fee rather than going dark). Reused only when the
-  /// outage run targets the same window and the same aggregate set;
-  /// otherwise the fallback is the empty plan (every aggregate rejected).
+  /// outage run targets the same window and the same aggregate set (ids and
+  /// member lists); otherwise the fallback is the empty plan (every aggregate
+  /// rejected).
   struct CachedPlan {
     timeutil::TimeInterval window;
-    std::vector<core::FlexOfferId> aggregate_ids;
     core::ScheduleResult plan;
   };
 

@@ -224,6 +224,114 @@ TEST(DisaggregateTest, MemberListMustMatch) {
   EXPECT_FALSE(Disaggregate(agg, wrong).ok());
 }
 
+// A three-member aggregate with a mid-flexibility schedule, for the kernel
+// cases below: members at different offsets, multi-unit RLE slices.
+struct ScheduledAggregate {
+  std::vector<FlexOffer> members;
+  FlexOffer aggregate;
+};
+
+ScheduledAggregate MakeScheduledAggregate() {
+  ScheduledAggregate s;
+  s.members = {MakeOffer(1, 0, 4, {{2, 1.0, 2.0}, {1, 0.5, 0.5}}),
+               MakeOffer(2, 1, 4, {{3, 0.0, 3.0}}),
+               MakeOffer(3, 2, 4, {{1, 2.0, 2.5}, {2, 1.0, 4.0}})};
+  FlexOfferId next_id = 100;
+  s.aggregate = Aggregator(AggregationParams{}).Aggregate(s.members, &next_id).aggregates[0];
+  Schedule sched;
+  sched.start = s.aggregate.earliest_start + 2 * kMinutesPerSlice;
+  for (const ProfileSlice& u : s.aggregate.UnitProfile()) {
+    sched.energy_kwh.push_back(0.3 * u.min_energy_kwh + 0.7 * u.max_energy_kwh);
+  }
+  s.aggregate.schedule = sched;
+  s.aggregate.state = FlexOfferState::kAssigned;
+  return s;
+}
+
+TEST(AggregatorTest, MemberPositionsFollowAggregatedFrom) {
+  Rng rng(17);
+  std::vector<FlexOffer> offers;
+  for (int i = 0; i < 200; ++i) offers.push_back(RandomOffer(rng, 1000 + i));
+  offers[7].profile.clear();  // fails validation: passed through, no position
+  AggregationParams params;
+  params.max_group_size = 5;
+  FlexOfferId next_id = 1;
+  AggregationResult result = Aggregator(params).Aggregate(offers, &next_id);
+  ASSERT_EQ(result.member_begin.size(), result.aggregates.size() + 1);
+  EXPECT_EQ(result.member_begin.front(), 0u);
+  EXPECT_EQ(result.member_begin.back(), result.member_index.size());
+  EXPECT_EQ(result.member_index.size(), offers.size() - result.passthrough.size());
+  for (size_t g = 0; g < result.aggregates.size(); ++g) {
+    const std::vector<FlexOfferId>& listed = result.aggregates[g].aggregated_from;
+    ASSERT_EQ(result.member_begin[g + 1] - result.member_begin[g], listed.size());
+    for (size_t j = 0; j < listed.size(); ++j) {
+      EXPECT_EQ(offers[result.member_index[result.member_begin[g] + j]].id, listed[j]);
+    }
+  }
+}
+
+TEST(DisaggregateTest, MemberOrderDoesNotMatter) {
+  ScheduledAggregate s = MakeScheduledAggregate();
+  Result<std::vector<FlexOffer>> in_order = Disaggregate(s.aggregate, s.members);
+  ASSERT_TRUE(in_order.ok()) << in_order.status().ToString();
+  std::vector<FlexOffer> reversed(s.members.rbegin(), s.members.rend());
+  Result<std::vector<FlexOffer>> out_of_order = Disaggregate(s.aggregate, reversed);
+  ASSERT_TRUE(out_of_order.ok()) << out_of_order.status().ToString();
+  ASSERT_EQ(out_of_order->size(), in_order->size());
+  for (size_t i = 0; i < in_order->size(); ++i) {
+    const FlexOffer& a = (*in_order)[i];
+    const FlexOffer& b = (*out_of_order)[in_order->size() - 1 - i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.state, FlexOfferState::kAssigned);
+    ASSERT_TRUE(a.schedule.has_value() && b.schedule.has_value());
+    EXPECT_EQ(*a.schedule, *b.schedule);
+    EXPECT_EQ(a.schedule->energy_kwh.size(),
+              static_cast<size_t>(a.profile_duration_slices()));
+  }
+  // The in-place kernel on the same members gives the same bits.
+  std::vector<FlexOffer> in_place = s.members;
+  ASSERT_TRUE(DisaggregateInPlace(s.aggregate, in_place.data(), in_place.size()).ok());
+  for (size_t i = 0; i < in_place.size(); ++i) {
+    EXPECT_EQ(in_place[i].state, FlexOfferState::kAssigned);
+    EXPECT_EQ(*in_place[i].schedule, *(*in_order)[i].schedule);
+  }
+}
+
+TEST(DisaggregateTest, MembershipAndAlignmentErrorsKeepTheirCodes) {
+  ScheduledAggregate s = MakeScheduledAggregate();
+  // A non-member id among the right number of members.
+  std::vector<FlexOffer> stranger = s.members;
+  stranger[1].id = 99;
+  EXPECT_EQ(Disaggregate(s.aggregate, stranger).status().code(), StatusCode::kInvalidArgument);
+  // One member too many or too few.
+  std::vector<FlexOffer> extra = s.members;
+  extra.push_back(s.members[0]);
+  EXPECT_EQ(Disaggregate(s.aggregate, extra).status().code(), StatusCode::kInvalidArgument);
+  std::vector<FlexOffer> missing(s.members.begin(), s.members.end() - 1);
+  EXPECT_EQ(Disaggregate(s.aggregate, missing).status().code(), StatusCode::kInvalidArgument);
+  // A member starting before the aggregate, or off the slice grid.
+  for (int64_t delta : {-kMinutesPerSlice, int64_t{5}}) {
+    std::vector<FlexOffer> misaligned = s.members;
+    misaligned[0].earliest_start = misaligned[0].earliest_start + delta;
+    EXPECT_EQ(Disaggregate(s.aggregate, misaligned).status().code(), StatusCode::kInternal);
+    EXPECT_EQ(DisaggregateInPlace(s.aggregate, misaligned.data(), misaligned.size()).code(),
+              StatusCode::kInternal);
+  }
+  // A member reaching past the aggregate's profile.
+  std::vector<FlexOffer> overlong = s.members;
+  overlong[2].profile.push_back(ProfileSlice{4, 1.0, 1.0});
+  EXPECT_EQ(Disaggregate(s.aggregate, overlong).status().code(), StatusCode::kInternal);
+  // Schedule start outside the aggregate's flexibility, and a schedule whose
+  // size disagrees with the profile.
+  FlexOffer late = s.aggregate;
+  late.schedule->start = late.latest_start + kMinutesPerSlice;
+  EXPECT_EQ(Disaggregate(late, s.members).status().code(), StatusCode::kInvalidArgument);
+  FlexOffer short_schedule = s.aggregate;
+  short_schedule.schedule->energy_kwh.pop_back();
+  EXPECT_EQ(Disaggregate(short_schedule, s.members).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // Property suite: for random workloads, aggregation + scheduling the
 // aggregate + disaggregation yields valid member schedules that reproduce
 // the aggregate schedule exactly over absolute time.

@@ -97,6 +97,41 @@ TEST(FlexOfferJsonTest, DecodingErrors) {
 
 // ---- Message envelopes --------------------------------------------------------------
 
+// region and grid_node are optional integers: absent keeps the invalid id, an
+// integer decodes exactly, and any other value (a fraction, a double out of
+// int64 range, a string) is a typed InvalidArgument on the wire path.
+TEST(MessageTest, LocationIdsMustBeIntegers) {
+  for (const char* key : {"region", "grid_node"}) {
+    JsonValue json = core::FlexOfferToJson(MakeOffer(5));
+    json.Set(key, JsonValue::Int(123456789012LL));
+    Result<FlexOffer> exact = core::FlexOfferFromJson(json);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_EQ(std::string(key) == "region" ? exact->region : exact->grid_node, 123456789012LL);
+
+    for (JsonValue bad : {JsonValue::Double(2.9), JsonValue::Double(1e300),
+                          JsonValue::Double(-1e300), JsonValue::Str("7")}) {
+      json.Set(key, bad);
+      EXPECT_EQ(core::FlexOfferFromJson(json).status().code(), StatusCode::kInvalidArgument)
+          << key << " = " << bad.Dump();
+      JsonValue envelope = JsonValue::Object();
+      envelope.Set("type", JsonValue::Str("flex_offer"));
+      envelope.Set("payload", json);
+      EXPECT_EQ(core::DecodeMessage(envelope.Dump()).status().code(),
+                StatusCode::kInvalidArgument)
+          << key << " = " << bad.Dump();
+    }
+  }
+  JsonValue json = core::FlexOfferToJson(MakeOffer(6));
+  JsonValue absent = JsonValue::Object();
+  for (const auto& [key, value] : json.items()) {
+    if (key != "region" && key != "grid_node") absent.Set(key, value);
+  }
+  Result<FlexOffer> decoded = core::FlexOfferFromJson(absent);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->region, core::kInvalidRegionId);
+  EXPECT_EQ(decoded->grid_node, core::kInvalidGridNodeId);
+}
+
 TEST(MessageTest, FlexOfferEnvelopeRoundTrips) {
   FlexOffer offer = MakeOffer(9);
   std::string wire = core::EncodeMessage(Message(offer));

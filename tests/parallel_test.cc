@@ -1,21 +1,31 @@
 // Tests for the parallel execution subsystem (util/parallel.h) and for the
-// determinism contract of its hot-path clients: aggregation and raster
-// replay must produce byte-identical output at FLEXVIS_THREADS=1 and
-// FLEXVIS_THREADS=8.
+// determinism contract of its hot-path clients: aggregation, the planning
+// run's disaggregation and raster replay must produce byte-identical output
+// at FLEXVIS_THREADS=1 and FLEXVIS_THREADS=8.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/aggregation.h"
+#include "core/messages.h"
+#include "geo/atlas.h"
+#include "grid/topology.h"
 #include "render/display_list.h"
 #include "render/incremental.h"
 #include "render/raster_canvas.h"
+#include "sim/enterprise.h"
+#include "sim/workload.h"
+#include "util/fault.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace flexvis {
 namespace {
@@ -194,6 +204,129 @@ TEST(ParallelDeterminismTest, AggregationIsIdenticalAtOneAndEightThreads) {
   for (size_t i = 0; i < serial.aggregates.size(); ++i) {
     EXPECT_TRUE(SameOffer(serial.aggregates[i], threaded.aggregates[i])) << "aggregate " << i;
   }
+}
+
+// Every byte of a planning report as comparable lines: each member's and
+// aggregate's full wire form (state, schedule, doubles at %.17g), every
+// series value, the counters, the settlement and the degraded stages.
+std::vector<std::string> ReportLines(const sim::PlanningReport& report) {
+  std::vector<std::string> lines;
+  for (const core::FlexOffer& m : report.member_offers) {
+    lines.push_back("member " + core::FlexOfferToJson(m).Dump());
+  }
+  for (const core::FlexOffer& a : report.aggregate_offers) {
+    lines.push_back("aggregate " + core::FlexOfferToJson(a).Dump());
+  }
+  const std::pair<const char*, const core::TimeSeries*> series[] = {
+      {"planned", &report.planned_flexible_load},
+      {"realized", &report.realized_flexible_load},
+      {"deviation", &report.deviation},
+      {"traded", &report.settlement.traded_kwh},
+      {"prices", &report.settlement.prices}};
+  for (const auto& [name, ts] : series) {
+    std::string line = StrFormat("%s %lld", name, static_cast<long long>(ts->start().minutes()));
+    for (double v : ts->values()) line += StrFormat(" %.17g", v);
+    lines.push_back(std::move(line));
+  }
+  lines.push_back(StrFormat("counts %d %d %d %d %zu", report.offers_in, report.aggregates_built,
+                            report.aggregates_assigned, report.aggregates_rejected,
+                            report.member_offers.size()));
+  lines.push_back(StrFormat("imbalance %.17g %.17g", report.imbalance_before_kwh,
+                            report.imbalance_after_kwh));
+  const sim::Settlement& s = report.settlement;
+  lines.push_back(StrFormat("settlement %.17g %.17g %.17g %.17g", s.spot_cost_eur,
+                            s.imbalance_kwh, s.imbalance_cost_eur, s.total_cost_eur));
+  for (const std::string& stage : report.degraded_stages) lines.push_back("degraded " + stage);
+  return lines;
+}
+
+// PlanHorizon on a ~5k-offer week at 1 and at 8 threads; `arm` arms the
+// run's private fault registry (seeded identically for both runs).
+class ParallelPlanHorizonTest : public ::testing::Test {
+ protected:
+  ParallelPlanHorizonTest()
+      : atlas_(geo::Atlas::MakeDenmark()), topology_(grid::GridTopology::MakeRadial(2, 2, 2, 3)) {
+    const timeutil::TimePoint start = timeutil::TimePoint::FromCalendarOrDie(2013, 2, 1, 0, 0);
+    sim::WorkloadParams params;
+    params.seed = 2718;
+    params.num_prosumers = 150;
+    params.offers_per_prosumer = 35.0;
+    params.horizon = timeutil::TimeInterval(start, start + 7 * timeutil::kMinutesPerDay);
+    window_ = params.horizon;
+    Result<sim::Workload> workload = sim::WorkloadGenerator(&atlas_, &topology_).Generate(params);
+    EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+    if (workload.ok()) offers_ = std::move(workload->offers);
+  }
+
+  sim::PlanningReport Plan(int threads, const std::function<void(FaultRegistry&)>& arm) {
+    SetParallelThreadCount(threads);
+    FaultRegistry faults;
+    faults.Seed(31337);
+    arm(faults);
+    sim::EnterpriseParams params;
+    params.faults = &faults;
+    Result<sim::PlanningReport> report = sim::Enterprise(params).PlanHorizon(offers_, window_);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return report.ok() ? *std::move(report) : sim::PlanningReport{};
+  }
+
+  void ExpectIdentical(const sim::PlanningReport& serial, const sim::PlanningReport& threaded) {
+    const std::vector<std::string> a = ReportLines(serial);
+    const std::vector<std::string> b = ReportLines(threaded);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << "report line " << i;
+  }
+
+  geo::Atlas atlas_;
+  grid::GridTopology topology_;
+  timeutil::TimeInterval window_;
+  std::vector<core::FlexOffer> offers_;
+};
+
+TEST_F(ParallelPlanHorizonTest, PlainRunIsByteIdenticalAtOneAndEightThreads) {
+  ThreadCountGuard guard;
+  ASSERT_GT(offers_.size(), 3000u);
+  auto clean = [](FaultRegistry&) {};
+  const sim::PlanningReport serial = Plan(1, clean);
+  const sim::PlanningReport threaded = Plan(8, clean);
+  EXPECT_TRUE(serial.degraded_stages.empty());
+  EXPECT_GT(serial.aggregates_assigned, 0);
+  ExpectIdentical(serial, threaded);
+}
+
+TEST_F(ParallelPlanHorizonTest, DisaggregationFaultsAreByteIdenticalAtOneAndEightThreads) {
+  ThreadCountGuard guard;
+  auto flaky = [](FaultRegistry& faults) {
+    FaultConfig config;
+    config.probability = 0.5;
+    faults.Arm("sim.enterprise.disaggregate", config);
+  };
+  const sim::PlanningReport serial = Plan(1, flaky);
+  const sim::PlanningReport threaded = Plan(8, flaky);
+  const sim::PlanningReport clean = Plan(1, [](FaultRegistry&) {});
+  ASSERT_EQ(serial.degraded_stages.size(), 1u);
+  EXPECT_EQ(serial.degraded_stages[0], "sim.enterprise.disaggregate");
+  // Some aggregates were demoted, and some still disaggregated.
+  EXPECT_LT(serial.aggregates_assigned, clean.aggregates_assigned);
+  EXPECT_GT(serial.aggregates_assigned, 0);
+  ExpectIdentical(serial, threaded);
+}
+
+TEST_F(ParallelPlanHorizonTest, DegradedAggregationIsByteIdenticalAtOneAndEightThreads) {
+  ThreadCountGuard guard;
+  auto down = [](FaultRegistry& faults) {
+    FaultConfig config;
+    config.always_fail = true;
+    faults.Arm("sim.enterprise.aggregate", config);
+  };
+  const sim::PlanningReport serial = Plan(1, down);
+  const sim::PlanningReport threaded = Plan(8, down);
+  ASSERT_EQ(serial.degraded_stages.size(), 1u);
+  EXPECT_EQ(serial.degraded_stages[0], "sim.enterprise.aggregate");
+  // Every offer planned as its own unit.
+  EXPECT_EQ(serial.aggregates_built, static_cast<int>(offers_.size()));
+  EXPECT_EQ(serial.member_offers.size(), offers_.size());
+  ExpectIdentical(serial, threaded);
 }
 
 render::DisplayList MakeScene() {

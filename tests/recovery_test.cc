@@ -29,6 +29,7 @@
 #include "sim/workload.h"
 #include "util/fault.h"
 #include "util/fileio.h"
+#include "util/json.h"
 #include "util/parallel.h"
 #include "viz/basic_view.h"
 
@@ -523,6 +524,49 @@ TEST_F(RecoveryTest, DecodeTickRecordRejectsMalformedInput) {
   EXPECT_EQ(sim::DecodeTickRecord("not json").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(sim::DecodeTickRecord("[]").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(sim::DecodeTickRecord("{\"tick\":0}").status().code(), StatusCode::kDataLoss);
+}
+
+// Integer fields are read strictly: a value past the int range or a double
+// is corruption, never a narrowed (4294967299 -> 3) or truncated (3.7 -> 3)
+// tick. Optional fields are strict when present and default when absent.
+TEST_F(RecoveryTest, DecodeTickRecordRejectsNonIntegerAndOutOfRangeFields) {
+  sim::OnlineTickRecord record;
+  record.tick = 3;
+  record.shed_offers = 2;
+  record.next_arrival = 17;
+  Result<JsonValue> valid = JsonValue::Parse(sim::EncodeTickRecord(record));
+  ASSERT_TRUE(valid.ok());
+  auto decode_with = [&](const char* key, JsonValue value) {
+    JsonValue json = *valid;
+    json.Set(key, std::move(value));
+    return sim::DecodeTickRecord(json.Dump());
+  };
+  Result<sim::OnlineTickRecord> decoded = sim::DecodeTickRecord(valid->Dump());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->tick, 3);
+  EXPECT_EQ(decoded->shed_offers, 2);
+  EXPECT_EQ(decoded->next_arrival, 17);
+
+  EXPECT_EQ(decode_with("tick", JsonValue::Int(4294967299LL)).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with("tick", JsonValue::Double(3.7)).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with("received", JsonValue::Int(-4294967296LL)).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with("qhw", JsonValue::Double(1e300)).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with("shed_policy", JsonValue::Str("0")).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with("next_arrival", JsonValue::Double(2.5)).status().code(),
+            StatusCode::kDataLoss);
+
+  JsonValue legacy = *valid;  // a journal cut before load shedding
+  JsonValue trimmed = JsonValue::Object();
+  for (const auto& [key, value] : legacy.items()) {
+    if (key != "shed" && key != "qhw" && key != "shed_policy") trimmed.Set(key, value);
+  }
+  decoded = sim::DecodeTickRecord(trimmed.Dump());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->shed_offers, 0);
+  EXPECT_EQ(decoded->queue_high_watermark, 0);
 }
 
 }  // namespace
